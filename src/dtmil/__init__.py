@@ -10,11 +10,11 @@ gradient descent.
 from .core import (
     AdaptedModel,
     Bag,
+    BagBatch,
     Dictionary,
     Hyperparams,
     SourceModel,
     embed_bag,
-    hinge_loss,
     predict,
     primal_objective,
     score_source,
@@ -46,11 +46,7 @@ from .evaluate import (
     sweep,
 )
 from .learn import (
-    AssignmentTable,
     FitReport,
-    assign_max_instances,
-    build_assignment_table,
-    build_u,
     codeword_gradient,
     codeword_objective,
     fit_dtc,
@@ -63,8 +59,8 @@ from .qp import DualProblem, DualState, dual_value, kkt_residual, solve_box_qp
 
 __all__ = [
     "AdaptedModel",
-    "AssignmentTable",
     "Bag",
+    "BagBatch",
     "DatasetFormatError",
     "DegenerateInputError",
     "Dictionary",
@@ -80,16 +76,12 @@ __all__ = [
     "SourceModel",
     "SynthConfig",
     "accuracy",
-    "assign_max_instances",
-    "build_assignment_table",
-    "build_u",
     "codeword_gradient",
     "codeword_objective",
     "dual_value",
     "embed_bag",
     "fit_dtc",
     "generate_synthetic",
-    "hinge_loss",
     "init_dictionary",
     "kkt_residual",
     "load_adapted_model",

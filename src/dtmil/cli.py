@@ -76,9 +76,11 @@ def _hyper_from_args(args) -> Hyperparams:
     )
 
 
-def _print_fit_report(label: str, report: FitReport) -> None:
+def _print_fit_report(label: str, report: FitReport, rounds: bool = True) -> None:
     for warning in report.warnings:
         _log(f"{label}: warning: {warning}")
+    if not rounds:
+        return
     for it in range(report.outer_iterations):
         _log(
             f"{label}: outer {it + 1}: dual {report.dual_values[it]:.6g} "
@@ -123,8 +125,7 @@ def _cmd_adapt(args) -> int:
     source_model = load_source_model(args.source_model)
     train = load_dataset(args.target_train)
     model, report = fit_dtc(train, source_model, hyper)
-    if args.verbose:
-        _print_fit_report("adapt", report)
+    _print_fit_report("adapt", report, rounds=args.verbose)
     save_model(model, args.out)
     _log(f"adapted on {len(train)} bags -> {args.out}")
     return 0
@@ -152,7 +153,6 @@ def _cmd_protocol(args) -> int:
         hyper,
         args.folds,
         conventional=args.conventional,
-        threads=args.threads,
         on_fit=on_fit,
     )
     if args.verbose:
@@ -211,7 +211,7 @@ def _cmd_sweep(args) -> int:
     c2_grid = _parse_grid(args.c2_grid, "--c2")
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds, args.seed, threads=args.threads)
+    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds, args.seed)
     write_text_atomic(args.out, sweep_rows_to_csv(rows))
     _log(f"swept {len(c1_grid)}x{len(c2_grid)} grid over {args.folds} folds -> {args.out}")
     return 0
@@ -274,7 +274,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--folds", type=int, required=True)
     _add_hyper_flags(p)
     p.add_argument("--conventional", action="store_true", help="train on k-1 folds instead of one")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_protocol)
@@ -291,7 +290,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-outer", type=int, default=_DEFAULTS.max_outer)
     p.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     p.add_argument("--seed", type=_unsigned, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -6,8 +6,10 @@ is the maximum dot product between codeword k and the bag's instances.  A
 source-domain model scores a bag linearly in that feature space; an adapted
 model adds a correction term computed against a second, transfer dictionary.
 
-Everything in this module is stateless and immutable after construction;
-all functions may be called concurrently without coordination.
+A ``BagBatch`` stacks a list of bags once so that embedding and argmax
+assignment run over all of them in one pass.  Everything in this module is
+stateless and immutable after construction; all functions may be called
+concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -178,6 +180,81 @@ class AdaptedModel:
         return self.source.dim
 
 
+def _segment_max_dots(instances: np.ndarray, starts: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    # The one embedding kernel: column k holds each segment's maximum of the
+    # row-wise dots with codeword k, so a bag's features do not depend on
+    # which other bags share the stack.
+    out = np.empty((starts.shape[0], codewords.shape[0]))
+    for k, word in enumerate(codewords):
+        out[:, k] = np.maximum.reduceat(_instance_dots(instances, word), starts)
+    return out
+
+
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+_ONE_SEGMENT.setflags(write=False)
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class BagBatch:
+    """A list of bags with their instances stacked once.
+
+    ``instances`` is the read-only (M, d) matrix of every bag's rows in
+    order; bag i owns rows ``starts[i]`` to ``starts[i] + counts[i] - 1``.
+    """
+
+    instances: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    def __init__(self, bags: list[Bag]):
+        if not bags:
+            raise InvalidInputError("cannot stack an empty bag list")
+        dim = bags[0].dim
+        for bag in bags:
+            if bag.dim != dim:
+                raise InvalidInputError(f"bag {bag.id!r} has dimension {bag.dim}, expected {dim}")
+        counts = np.array([bag.size for bag in bags], dtype=np.intp)
+        starts = np.zeros(len(bags), dtype=np.intp)
+        np.cumsum(counts[:-1], out=starts[1:])
+        instances = np.vstack([bag.instances for bag in bags])
+        for name, arr in (("instances", instances), ("starts", starts), ("counts", counts)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.starts.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.instances.shape[1]
+
+    def embed(self, dictionary: Dictionary) -> np.ndarray:
+        """Features of every bag, one row per bag; row i equals
+        ``embed_bag(bag_i, dictionary)`` bit for bit."""
+        if self.dim != dictionary.dim:
+            raise InvalidInputError(
+                f"bags have dimension {self.dim} but dictionary has dimension {dictionary.dim}"
+            )
+        return _segment_max_dots(self.instances, self.starts, dictionary.codewords)
+
+    def argmax(self, codeword) -> np.ndarray:
+        """For each bag, the index within the bag of the instance maximizing
+        the dot product with ``codeword``; ties resolve to the lowest index."""
+        codeword = np.asarray(codeword, dtype=np.float64)
+        if codeword.shape != (self.dim,):
+            raise InvalidInputError(
+                f"codeword must have shape ({self.dim},), got {codeword.shape}"
+            )
+        dots = _instance_dots(self.instances, codeword)
+        seg_max = np.maximum.reduceat(dots, self.starts)
+        positions = np.arange(dots.shape[0])
+        firsts = np.minimum.reduceat(
+            np.where(dots == np.repeat(seg_max, self.counts), positions, dots.shape[0]),
+            self.starts,
+        )
+        return firsts - self.starts
+
+
 def embed_bag(bag: Bag, dictionary: Dictionary) -> np.ndarray:
     """Map a bag to its bag-level feature vector.
 
@@ -188,7 +265,7 @@ def embed_bag(bag: Bag, dictionary: Dictionary) -> np.ndarray:
         raise InvalidInputError(
             f"bag {bag.id!r} has dimension {bag.dim} but dictionary has dimension {dictionary.dim}"
         )
-    return np.array([_instance_dots(bag.instances, word).max() for word in dictionary.codewords])
+    return _segment_max_dots(bag.instances, _ONE_SEGMENT, dictionary.codewords)[0]
 
 
 def score_source(bag: Bag, model: SourceModel) -> float:
@@ -208,25 +285,36 @@ def predict(score: float) -> int:
     return 1 if score >= 0 else -1
 
 
-def hinge_loss(score: float, label: int) -> float:
-    """Margin loss max(0, 1 - label * score)."""
-    if label not in VALID_LABELS:
-        raise InvalidInputError(f"label must be +1 or -1, got {label!r}")
-    return max(0.0, 1.0 - label * score)
+def _primal_from_cache(
+    source_scores: np.ndarray,
+    z: np.ndarray,
+    w: np.ndarray,
+    labels: np.ndarray,
+    psi: Dictionary,
+    hyper: Hyperparams,
+) -> float:
+    # the primal formula, from precomputed source scores and psi features
+    hinges = np.maximum(0.0, 1.0 - labels * (source_scores + z @ w))
+    return (
+        float(np.mean(hinges))
+        + 0.5 * hyper.c1 * float(w @ w)
+        + 0.5 * hyper.c2 * float(np.sum(psi.codewords**2))
+    )
 
 
 def primal_objective(train: list[Bag], model: AdaptedModel) -> float:
     """Regularized training objective of an adapted model.
 
-    Mean hinge loss of the adapted scores over ``train`` plus
-    (c1/2)||w||^2 plus (c2/2) * sum of squared codeword norms of psi.
+    Mean hinge loss max(0, 1 - y * score) of the adapted scores over
+    ``train`` plus (c1/2)||w||^2 plus (c2/2) * sum of squared codeword norms
+    of psi.
     """
     if not train:
         raise InvalidInputError("training set is empty")
     for bag in train:
         if bag.label is None:
             raise InvalidInputError(f"bag {bag.id!r} is unlabeled")
-    losses = [hinge_loss(score_target(bag, model), bag.label) for bag in train]
-    reg_w = 0.5 * model.hyper.c1 * float(model.w @ model.w)
-    reg_psi = 0.5 * model.hyper.c2 * float(np.sum(model.psi.codewords**2))
-    return float(np.mean(losses)) + reg_w + reg_psi
+    labels = np.array([bag.label for bag in train], dtype=np.float64)
+    source_scores = np.array([score_source(bag, model.source) for bag in train])
+    z = BagBatch(train).embed(model.psi)
+    return _primal_from_cache(source_scores, z, model.w, labels, model.psi, model.hyper)

@@ -3,8 +3,8 @@
 The cross-validation here is deliberately inverted: each fold serves as the
 *training* set while the remaining k-1 folds are tested, modeling a target
 domain where labeled data is scarce.  A conventional flag flips that around.
-Per-fold seeds derive from (seed, fold index), so fold work is order- and
-thread-independent.
+Per-fold seeds derive from (seed, fold index), so fold work is
+order-independent.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,7 +126,6 @@ def run_protocol(
     k: int,
     source_model: SourceModel | None = None,
     conventional: bool = False,
-    threads: int = 1,
     on_fit=None,
 ) -> ProtocolReport:
     """Cross-validated evaluation of adaptation against both baselines.
@@ -139,8 +137,7 @@ def run_protocol(
     same test bags.  ``source_model`` defaults to one trained on the full
     source set with ``hyper.kappa`` words and regularizer ``hyper.c1``.
 
-    ``on_fit(fold, FitReport)`` is invoked after each fold's fit; folds may
-    run on ``threads`` workers without changing any result.
+    ``on_fit(fold, FitReport)`` is invoked after each fold's fit.
     """
     split = split_folds(target, k, hyper.seed)
     if source_model is None:
@@ -163,12 +160,7 @@ def run_protocol(
         )
         return adapted_acc, source_acc, target_acc, time.perf_counter() - started
 
-    folds = range(split.k)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_fold, folds))
-    else:
-        results = [run_fold(fold) for fold in folds]
+    results = [run_fold(fold) for fold in range(split.k)]
 
     per_fold = [r[0] for r in results]
     return ProtocolReport(
@@ -191,7 +183,6 @@ def sweep(
     c2_grid: list[float],
     k: int,
     seed: int,
-    threads: int = 1,
 ) -> list[dict]:
     """Run the protocol over a (c1, c2) grid; one row per (c1, c2, fold).
 
@@ -207,9 +198,7 @@ def sweep(
     for c1 in c1_grid:
         for c2 in c2_grid:
             hyper = replace(base_hyper, c1=c1, c2=c2, seed=seed)
-            report = run_protocol(
-                source, target, hyper, k, source_model=shared_model, threads=threads
-            )
+            report = run_protocol(source, target, hyper, k, source_model=shared_model)
             for fold in range(k):
                 rows.append(
                     {

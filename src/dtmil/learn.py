@@ -26,31 +26,17 @@ import numpy as np
 from .core import (
     AdaptedModel,
     Bag,
+    BagBatch,
     Dictionary,
     Hyperparams,
     SourceModel,
+    _primal_from_cache,
     score_source,
-    _instance_dots,
 )
 from .errors import DegenerateInputError, InvalidInputError
-from .qp import DualProblem, dual_value, solve_box_qp
+from .qp import DualProblem, DualState, dual_value, solve_box_qp
 
 DEFAULT_CODEWORD_NORM_CAP = 10.0
-
-
-@dataclass(frozen=True)
-class AssignmentTable:
-    """Per-codeword, per-bag index of the instance with the largest dot
-    product; shape (dictionary size, bag count)."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        pi = np.ascontiguousarray(np.asarray(self.pi, dtype=np.int64))
-        if pi.ndim != 2:
-            raise InvalidInputError(f"assignment table must be 2-D, got ndim={pi.ndim}")
-        pi.setflags(write=False)
-        object.__setattr__(self, "pi", pi)
 
 
 @dataclass
@@ -62,7 +48,8 @@ class FitReport:
     under iteration t's embeddings, ``dual_values[t]`` the value after the
     solve under the same embeddings.  ``final_dual_value`` and
     ``final_beta`` are taken under the final dictionary, i.e. the pair the
-    adaptation weights are recovered from.
+    adaptation weights are recovered from.  ``warnings`` names, among other
+    things, every dual solve that stopped at its sweep cap.
     """
 
     outer_iterations: int = 0
@@ -87,80 +74,6 @@ def _check_labeled(bags: list[Bag], what: str) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _check_dim(bags: list[Bag], dim: int) -> None:
-    for bag in bags:
-        if bag.dim != dim:
-            raise InvalidInputError(
-                f"bag {bag.id!r} has dimension {bag.dim}, expected {dim}"
-            )
-
-
-def assign_max_instances(codeword, bags: list[Bag]) -> np.ndarray:
-    """For each bag, the index of the instance maximizing the dot product
-    with ``codeword``; ties resolve to the lowest index."""
-    codeword = np.asarray(codeword, dtype=np.float64)
-    if codeword.ndim != 1:
-        raise InvalidInputError(f"codeword must be 1-D, got ndim={codeword.ndim}")
-    _check_dim(bags, codeword.shape[0])
-    return np.array(
-        [int(np.argmax(_instance_dots(bag.instances, codeword))) for bag in bags],
-        dtype=np.int64,
-    )
-
-
-def build_assignment_table(dictionary: Dictionary, bags: list[Bag]) -> AssignmentTable:
-    """Assignment indices for every codeword of ``dictionary`` at once."""
-    rows = [assign_max_instances(word, bags) for word in dictionary.codewords]
-    return AssignmentTable(pi=np.vstack(rows))
-
-
-def _stack_bags(bags: list[Bag]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    counts = np.array([bag.size for bag in bags], dtype=np.int64)
-    starts = np.zeros(len(bags), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return np.vstack([bag.instances for bag in bags]), starts, counts
-
-
-def _assign_stacked(
-    x_all: np.ndarray, starts: np.ndarray, counts: np.ndarray, codeword: np.ndarray
-) -> np.ndarray:
-    # vectorized twin of assign_max_instances over pre-stacked instances;
-    # uses the same row-stable dot kernel and the same first-max tie rule,
-    # so the picked indices are bit-identical to the per-bag path
-    dots = _instance_dots(x_all, codeword)
-    seg_max = np.maximum.reduceat(dots, starts)
-    positions = np.arange(dots.shape[0], dtype=np.int64)
-    sentinel = dots.shape[0]
-    firsts = np.minimum.reduceat(
-        np.where(dots == np.repeat(seg_max, counts), positions, sentinel), starts
-    )
-    return firsts - starts
-
-
-def build_u(beta, bags: list[Bag], labels, assignment) -> np.ndarray:
-    """Weighted sum of assigned instances: sum_i beta_i y_i x_i[assignment_i].
-
-    This is the rank-one factor of the codeword objective's quadratic term.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    assignment = np.asarray(assignment, dtype=np.int64)
-    n = len(bags)
-    if beta.shape != (n,) or labels.shape != (n,) or assignment.shape != (n,):
-        raise InvalidInputError(
-            f"beta {beta.shape}, labels {labels.shape} and assignment {assignment.shape} "
-            f"must all have length {n}"
-        )
-    for i, bag in enumerate(bags):
-        if not 0 <= assignment[i] < bag.size:
-            raise InvalidInputError(
-                f"assignment index {assignment[i]} out of range for bag {bag.id!r} "
-                f"with {bag.size} instances"
-            )
-    picked = np.stack([bag.instances[assignment[i]] for i, bag in enumerate(bags)])
-    return (beta * labels) @ picked
-
-
 def codeword_objective(psi_k, u, c1: float, c2: float) -> float:
     """Per-codeword objective (c2/2)||psi||^2 - (1/(2 c1)) (u . psi)^2."""
     psi_k = np.asarray(psi_k, dtype=np.float64)
@@ -178,19 +91,20 @@ def codeword_gradient(psi_k, u, c1: float, c2: float) -> np.ndarray:
 
 def update_codeword(
     psi_init,
-    bags: list[Bag],
+    batch: BagBatch,
     beta,
     labels,
     hyper: Hyperparams,
     norm_cap: float = DEFAULT_CODEWORD_NORM_CAP,
 ) -> np.ndarray:
-    """Run ``hyper.inner_iters`` descent steps on one codeword.
+    """Run ``hyper.inner_iters`` descent steps on one codeword over ``batch``.
 
     Each step recomputes the per-bag argmax assignments for the current
-    codeword, rebuilds the rank-one factor u, and steps against the
-    gradient with step size ``hyper.eta``.  The codeword norm is clipped to
-    ``norm_cap`` after every step: the objective is unbounded below along u
-    whenever ||u||^2 > c1 * c2, and the cap keeps iterates finite there.
+    codeword, rebuilds the rank-one factor u = sum_i beta_i y_i x_i[argmax_i],
+    and steps against the gradient with step size ``hyper.eta``.  The
+    codeword norm is clipped to ``norm_cap`` after every step: the objective
+    is unbounded below along u whenever ||u||^2 > c1 * c2, and the cap keeps
+    iterates finite there.
     """
     psi = np.array(psi_init, dtype=np.float64)
     if psi.ndim != 1:
@@ -199,19 +113,21 @@ def update_codeword(
         raise DegenerateInputError(
             "initial codeword is the zero vector, a stationary point of the descent"
         )
-    _check_dim(bags, psi.shape[0])
-    n = len(bags)
+    if psi.shape[0] != batch.dim:
+        raise InvalidInputError(
+            f"codeword has dimension {psi.shape[0]} but bags have dimension {batch.dim}"
+        )
+    n = len(batch)
     beta = np.asarray(beta, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if beta.shape != (n,) or labels.shape != (n,):
         raise InvalidInputError(
             f"beta {beta.shape} and labels {labels.shape} must both have length {n}"
         )
-    x_all, starts, counts = _stack_bags(bags)
     signed = beta * labels
     for _ in range(hyper.inner_iters):
-        assignment = _assign_stacked(x_all, starts, counts, psi)
-        u = signed @ x_all[starts + assignment]
+        assignment = batch.argmax(psi)
+        u = signed @ batch.instances[batch.starts + assignment]
         psi = psi - hyper.eta * codeword_gradient(psi, u, hyper.c1, hyper.c2)
         norm = float(np.linalg.norm(psi))
         if norm > norm_cap:
@@ -262,41 +178,17 @@ def init_dictionary(bags: list[Bag], size: int, seed: int) -> Dictionary:
     return Dictionary(codewords=pool[idx] / norms[idx, None])
 
 
-def _embed_all(bags: list[Bag], dictionary: Dictionary) -> np.ndarray:
-    # batched embed_bag: same dot kernel and max reduction per segment, so
-    # each row is bit-identical to embed_bag on that bag alone
-    x_all, starts, _ = _stack_bags(bags)
-    if x_all.shape[1] != dictionary.dim:
-        raise InvalidInputError(
-            f"bags have dimension {x_all.shape[1]} but dictionary has dimension {dictionary.dim}"
-        )
-    out = np.empty((len(bags), dictionary.size))
-    for k, word in enumerate(dictionary.codewords):
-        out[:, k] = np.maximum.reduceat(_instance_dots(x_all, word), starts)
-    return out
-
-
 def _symmetrized_gram(z: np.ndarray) -> np.ndarray:
     gram = z @ z.T
     return 0.5 * (gram + gram.T)
 
 
-def _primal_from_cache(
-    source_scores: np.ndarray,
-    z: np.ndarray,
-    w: np.ndarray,
-    labels: np.ndarray,
-    psi: Dictionary,
-    hyper: Hyperparams,
-) -> float:
-    # primal_objective evaluated from cached source scores and embeddings;
-    # agrees with the public op to float precision
-    hinges = np.maximum(0.0, 1.0 - labels * (source_scores + z @ w))
-    return (
-        float(np.mean(hinges))
-        + 0.5 * hyper.c1 * float(w @ w)
-        + 0.5 * hyper.c2 * float(np.sum(psi.codewords**2))
-    )
+def _warn_unconverged(report: FitReport, state: DualState, where: str) -> None:
+    if not state.converged:
+        report.warnings.append(
+            f"{where}: dual solve stopped at its sweep cap after {state.iterations} sweeps "
+            "without converging"
+        )
 
 
 def fit_dtc(
@@ -318,7 +210,11 @@ def fit_dtc(
     """
     start = time.perf_counter()
     labels = _check_labeled(target_train, "target training set")
-    _check_dim(target_train, source.dim)
+    batch = BagBatch(target_train)
+    if batch.dim != source.dim:
+        raise InvalidInputError(
+            f"target bags have dimension {batch.dim}, expected {source.dim}"
+        )
     report = FitReport()
     if len(set(labels.tolist())) < 2:
         report.warnings.append(
@@ -335,12 +231,13 @@ def fit_dtc(
 
     converged = False
     for outer in range(hyper.max_outer):
-        z = _embed_all(target_train, psi)
+        z = batch.embed(psi)
         prob = DualProblem(
             gram=_symmetrized_gram(z), margins=margins, labels=labels, c1=hyper.c1
         )
         report.warm_start_dual_values.append(dual_value(beta, prob))
         state = solve_box_qp(prob, init=beta)
+        _warn_unconverged(report, state, f"outer round {outer + 1}")
         beta = state.beta
         report.dual_values.append(state.objective)
 
@@ -351,7 +248,7 @@ def fit_dtc(
                 # exact zero is a stationary point; leave it in place
                 new_words.append(word)
             else:
-                new_words.append(update_codeword(word, target_train, beta, labels, hyper))
+                new_words.append(update_codeword(word, batch, beta, labels, hyper))
         psi = Dictionary(codewords=np.vstack(new_words))
 
         w_iter = recover_w(beta, labels, z, hyper.c1)
@@ -366,12 +263,13 @@ def fit_dtc(
                 converged = True
                 break
 
-    z_final = _embed_all(target_train, psi)
+    z_final = batch.embed(psi)
     prob_final = DualProblem(
         gram=_symmetrized_gram(z_final), margins=margins, labels=labels, c1=hyper.c1
     )
     if report.outer_iterations == 0:
         state = solve_box_qp(prob_final)
+        _warn_unconverged(report, state, "single dual solve")
         beta = state.beta
         report.final_dual_value = state.objective
     else:
@@ -398,7 +296,7 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
     if len(set(labels.tolist())) < 2:
         raise InvalidInputError("source training set must contain both classes")
     phi = init_dictionary(source_data, iota, seed)
-    z = _embed_all(source_data, phi)
+    z = BagBatch(source_data).embed(phi)
     prob = DualProblem(
         gram=_symmetrized_gram(z),
         margins=np.ones(len(source_data)),

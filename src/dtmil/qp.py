@@ -49,7 +49,7 @@ class DualProblem:
     def __post_init__(self):
         gram = np.asarray(self.gram, dtype=np.float64)
         margins = np.asarray(self.margins, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise InvalidInputError(f"gram must be square, got shape {gram.shape}")
         n = gram.shape[0]
@@ -64,8 +64,10 @@ class DualProblem:
         scale = max(1.0, float(np.abs(gram).max()))
         if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-9 * scale):
             raise InvalidInputError("gram matrix is not symmetric")
+        # checked before the integer cast, which would truncate 1.7 to 1
         if not np.all(np.isin(labels, (1, -1))):
             raise InvalidInputError("labels must be +1 or -1")
+        labels = labels.astype(np.int64)
         if not (np.isfinite(self.c1) and self.c1 > 0):
             raise InvalidInputError(f"c1 must be a positive finite real, got {self.c1!r}")
         for name, arr in (("gram", gram), ("margins", margins), ("labels", labels)):

@@ -104,6 +104,31 @@ class TestPipeline:
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["n"] == 16
 
+    def test_adapt_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model = str(tmp_path / "m.json")
+        assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
+        args = ["adapt", "--source-model", model, "--target-train", tgt,
+                "--kappa", "3", "--inner-iters", "2", "--max-outer", "2"]
+        quiet = str(tmp_path / "quiet.json")
+        loud = str(tmp_path / "loud.json")
+        capsys.readouterr()
+        assert run(args + ["--out", quiet]) == 0
+        captured = capsys.readouterr()
+        assert "adapt: warning: outer round 1: dual solve stopped at its sweep cap" in captured.err
+        assert "outer 1: dual" not in captured.err  # round values stay behind --verbose
+        assert captured.out == ""
+        assert run(args + ["--out", loud, "--verbose"]) == 0
+        assert open(quiet, "rb").read() == open(loud, "rb").read()
+
     def test_adapt_rejects_adapted_model_as_source(self, workdir):
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)

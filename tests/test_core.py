@@ -1,4 +1,4 @@
-"""Tests for core types, embedding, scoring, loss and the primal objective."""
+"""Tests for core types, embedding, bag batches, scoring and the primal objective."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from dtmil import (
     AdaptedModel,
     Bag,
+    BagBatch,
     Dictionary,
     Hyperparams,
     InvalidInputError,
     SourceModel,
     embed_bag,
-    hinge_loss,
     predict,
     primal_objective,
     score_source,
@@ -132,6 +132,33 @@ class TestEmbedBag:
             assert after[0] == before[0] and after[2] == before[2]
 
 
+class TestBagBatch:
+    def test_offsets_and_read_only_instances(self):
+        batch = BagBatch([bag([1, 2], [3, 4]), bag([5, 6]), bag([7, 8], [9, 0], [1, 1])])
+        assert len(batch) == 3 and batch.dim == 2
+        assert batch.starts.tolist() == [0, 2, 3]
+        assert batch.counts.tolist() == [2, 1, 3]
+        assert batch.instances.shape == (6, 2)
+        for arr in (batch.instances, batch.starts, batch.counts):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_frozen(self):
+        batch = BagBatch([bag([1.0])])
+        with pytest.raises(AttributeError):
+            batch.starts = np.zeros(1, dtype=int)
+
+    def test_rejects_empty_and_mixed_dimensions(self):
+        with pytest.raises(InvalidInputError):
+            BagBatch([])
+        with pytest.raises(InvalidInputError, match="dimension 3, expected 2"):
+            BagBatch([bag([1.0, 2.0]), bag([1.0, 2.0, 3.0])])
+
+    def test_embed_dimension_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            BagBatch([bag([1.0, 2.0])]).embed(Dictionary(codewords=[[1.0, 0.0, 0.0]]))
+
+
 class TestScoring:
     def test_zero_weights_score_zero(self):
         model = SourceModel(phi=Dictionary(codewords=[[1, 0], [0, 1]]), v=[0.0, 0.0])
@@ -172,20 +199,27 @@ class TestPredict:
             predict(float("nan"))
 
 
+def hinge_only_objective(score, label):
+    # one bag whose source score is exactly ``score``, w = 0 and a zero
+    # codeword, so the primal objective is the bag's hinge loss alone
+    source = SourceModel(phi=Dictionary(codewords=[[1.0]]), v=[score])
+    model = AdaptedModel(source=source, psi=Dictionary(codewords=[[0.0]]),
+                         w=[0.0], hyper=Hyperparams())
+    return primal_objective([bag([1.0], label=label)], model)
+
+
 class TestHingeLoss:
+    """The hinge term max(0, 1 - label * score) of the primal objective."""
+
     @pytest.mark.parametrize("score,label,expected", [
         (2.0, 1, 0.0), (0.5, 1, 0.5), (-1.0, -1, 0.0), (0.0, 1, 1.0), (-1.0, 1, 2.0),
     ])
     def test_values(self, score, label, expected):
-        assert hinge_loss(score, label) == expected
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(InvalidInputError):
-            hinge_loss(1.0, 0)
+        assert hinge_only_objective(score, label) == expected
 
     @given(st.floats(-1e6, 1e6), st.sampled_from([1, -1]))
     def test_nonnegative_and_zero_iff_margin_met(self, score, label):
-        loss = hinge_loss(score, label)
+        loss = hinge_only_objective(score, label)
         assert loss >= 0.0
         assert (loss == 0.0) == (label * score >= 1.0)
 

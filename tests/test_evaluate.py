@@ -149,13 +149,6 @@ class TestRunProtocol:
         assert a.per_fold_accuracy == b.per_fold_accuracy
         assert a.baseline_accuracies == b.baseline_accuracies
 
-    def test_threads_do_not_change_results(self):
-        source, target = small_problem(seed=2)
-        serial = run_protocol(source, target, FAST, k=4, threads=1)
-        threaded = run_protocol(source, target, FAST, k=4, threads=4)
-        assert serial.per_fold_accuracy == threaded.per_fold_accuracy
-        assert serial.baseline_accuracies == threaded.baseline_accuracies
-
     def test_leave_rest_out_extreme_runs(self):
         # k = n trains each fit on a single bag; single-class fits warn but run
         source, target = small_problem(seed=3)

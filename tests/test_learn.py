@@ -6,15 +6,13 @@ import pytest
 
 from dtmil import (
     Bag,
+    BagBatch,
     DegenerateInputError,
     Dictionary,
     Hyperparams,
     InvalidInputError,
     SourceModel,
     accuracy,
-    assign_max_instances,
-    build_assignment_table,
-    build_u,
     codeword_gradient,
     codeword_objective,
     embed_bag,
@@ -38,19 +36,25 @@ def bag(*rows, label=None, bag_id="b"):
     return Bag(id=bag_id, instances=np.array(rows, dtype=float), label=label)
 
 
+def argmax(codeword, bags):
+    return BagBatch(bags).argmax(codeword)
+
+
 class TestAssignMaxInstances:
+    """Per-bag argmax assignment through ``BagBatch.argmax``."""
+
     def test_picks_largest_dot(self):
-        assert assign_max_instances([1.0, 0.0], [bag([0, 5], [3, 0])]).tolist() == [1]
+        assert argmax([1.0, 0.0], [bag([0, 5], [3, 0])]).tolist() == [1]
 
     def test_degenerate_codeword_ties_to_lowest_index(self):
-        assert assign_max_instances([0.0, 0.0], [bag([1, 2], [3, 4], [5, 6])]).tolist() == [0]
+        assert argmax([0.0, 0.0], [bag([1, 2], [3, 4], [5, 6])]).tolist() == [0]
 
     def test_all_equal_dots_tie_to_lowest_index(self):
-        assert assign_max_instances([1.0, 1.0], [bag([2, 0], [0, 2], [1, 1])]).tolist() == [0]
+        assert argmax([1.0, 1.0], [bag([2, 0], [0, 2], [1, 1])]).tolist() == [0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            assign_max_instances([1.0, 0.0, 0.0], [bag([1, 2])])
+            argmax([1.0, 0.0, 0.0], [bag([1, 2])])
 
     def test_always_indexes_a_true_argmax(self):
         rng = np.random.default_rng(0)
@@ -60,7 +64,7 @@ class TestAssignMaxInstances:
                 for i in range(5)
             ]
             word = rng.normal(size=3)
-            picks = assign_max_instances(word, bags)
+            picks = argmax(word, bags)
             for i, b in enumerate(bags):
                 dots = [float(word @ x) for x in b.instances]
                 assert dots[picks[i]] == max(dots)
@@ -68,14 +72,15 @@ class TestAssignMaxInstances:
     def test_table_shape_and_range(self):
         rng = np.random.default_rng(1)
         bags = [Bag(id=f"b{i}", instances=rng.normal(size=(4, 2))) for i in range(6)]
-        table = build_assignment_table(Dictionary(codewords=rng.normal(size=(3, 2))), bags)
-        assert table.pi.shape == (3, 6)
-        assert np.all((table.pi >= 0) & (table.pi < 4))
+        batch = BagBatch(bags)
+        table = np.vstack([batch.argmax(word) for word in rng.normal(size=(3, 2))])
+        assert table.shape == (3, 6)
+        assert np.all((table >= 0) & (table < 4))
 
     def test_stacked_assignment_matches_per_bag_path(self):
-        # the vectorized assignment inside update_codeword must agree with
-        # the public op bit for bit, including first-index tie breaking
-        from dtmil.learn import _assign_stacked, _stack_bags
+        # the stacked argmax must pick, bit for bit, what a per-bag argmax
+        # over the same row-wise dots picks, including first-index ties
+        from dtmil.core import _instance_dots
 
         rng = np.random.default_rng(12)
         for _ in range(30):
@@ -85,40 +90,47 @@ class TestAssignMaxInstances:
                 for i in range(int(rng.integers(1, 8)))
             ]
             word = rng.normal(size=d)
-            x_all, starts, counts = _stack_bags(bags)
-            fast = _assign_stacked(x_all, starts, counts, word)
-            assert np.array_equal(fast, assign_max_instances(word, bags))
+            per_bag = [int(np.argmax(_instance_dots(b.instances, word))) for b in bags]
+            assert argmax(word, bags).tolist() == per_bag
 
     def test_stacked_assignment_tie_break_on_duplicates(self):
-        from dtmil.learn import _assign_stacked, _stack_bags
-
         bags = [bag([1.0, 1.0], [1.0, 1.0], [2.0, 0.0])]  # dots tie on rows 0-2
-        x_all, starts, counts = _stack_bags(bags)
-        assert _assign_stacked(x_all, starts, counts, np.array([1.0, 1.0])).tolist() == [0]
+        assert argmax(np.array([1.0, 1.0]), bags).tolist() == [0]
+
+
+def one_step(psi, bags, beta, labels):
+    # with eta = c1 = c2 = 1 one descent step returns (u . psi) u, where
+    # u = sum_i beta_i y_i x_i[argmax_i] is built inside update_codeword
+    hyper = Hyperparams(c1=1.0, c2=1.0, eta=1.0, inner_iters=1)
+    return update_codeword(psi, BagBatch(bags), beta, labels, hyper)
 
 
 class TestBuildU:
+    """The rank-one factor u, observed through one ``update_codeword`` step."""
+
     def test_zero_beta_gives_zero_vector(self):
         bags = [bag([1, 2]), bag([3, 4])]
-        out = build_u([0.0, 0.0], bags, [1, -1], [0, 0])
-        assert out.tolist() == [0.0, 0.0]
+        assert one_step([1.0, 1.0], bags, [0.0, 0.0], [1, -1]).tolist() == [0.0, 0.0]
 
     def test_scalar_multiple(self):
-        out = build_u([0.5], [bag([2, 0])], [1], [0])
-        assert out.tolist() == [1.0, 0.0]
+        # u = 0.5 * [2, 0] = [1, 0] and u . psi = 1
+        assert one_step([1.0, 0.0], [bag([2, 0])], [0.5], [1]).tolist() == [1.0, 0.0]
 
     def test_hand_summed_pair(self):
+        # psi = [1, -2] picks row 1 of the first bag and row 0 of the
+        # second, so u = [1, 0] - [0, 1] and u . psi = 3
         bags = [bag([9, 9], [1, 0]), bag([0, 1], [5, 5])]
-        out = build_u([1.0, 1.0], bags, [1, -1], [1, 0])
-        assert out.tolist() == [1.0, -1.0]
+        assert one_step([1.0, -2.0], bags, [1.0, 1.0], [1, -1]).tolist() == [3.0, -3.0]
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            build_u([1.0], [bag([1, 2]), bag([3, 4])], [1, -1], [0, 0])
+            one_step([1.0, 0.0], [bag([1, 2]), bag([3, 4])], [1.0], [1, -1])
 
     def test_assignment_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            build_u([1.0], [bag([1, 2])], [1], [3])
+        # the first bag's argmax must stay inside its own single row; the
+        # next bag's larger row would give u = [100, 0]
+        bags = [bag([1, 0]), bag([0, 0], [100, 0])]
+        assert one_step([1.0, 0.0], bags, [1.0, 0.0], [1, 1]).tolist() == [1.0, 0.0]
 
 
 class TestCodewordObjectiveAndGradient:
@@ -160,37 +172,41 @@ class TestCodewordObjectiveAndGradient:
 class TestUpdateCodeword:
     def test_zero_beta_contracts_by_eta_c2(self):
         hyper = Hyperparams(c1=1.0, c2=1.0, eta=0.1, inner_iters=1)
-        out = update_codeword([2.0, 0.0], [bag([1, 1])], [0.0], [1], hyper)
+        out = update_codeword([2.0, 0.0], BagBatch([bag([1, 1])]), [0.0], [1], hyper)
         np.testing.assert_allclose(out, [1.8, 0.0], rtol=0, atol=1e-15)
 
     def test_contraction_per_step(self):
         hyper = Hyperparams(c1=1.0, c2=0.5, eta=0.2, inner_iters=7)
         start = np.array([0.3, -0.4])
-        out = update_codeword(start, [bag([1, 1])], [0.0], [1], hyper)
+        out = update_codeword(start, BagBatch([bag([1, 1])]), [0.0], [1], hyper)
         np.testing.assert_allclose(out, start * (1 - 0.2 * 0.5) ** 7, rtol=1e-12)
 
     def test_zero_steps_returns_input(self):
         hyper = Hyperparams(inner_iters=0)
-        out = update_codeword([1.0, 2.0], [bag([1, 1])], [1.0], [1], hyper)
+        out = update_codeword([1.0, 2.0], BagBatch([bag([1, 1])]), [1.0], [1], hyper)
         assert out.tolist() == [1.0, 2.0]
 
     def test_zero_init_rejected(self):
         with pytest.raises(DegenerateInputError):
-            update_codeword([0.0, 0.0], [bag([1, 1])], [1.0], [1], Hyperparams())
+            update_codeword([0.0, 0.0], BagBatch([bag([1, 1])]), [1.0], [1], Hyperparams())
 
     def test_stays_collinear_with_single_instance(self):
         x = np.array([3.0, 4.0])
         hyper = Hyperparams(c1=1.0, c2=0.1, eta=0.05, inner_iters=25)
-        out = update_codeword(0.2 * x, [Bag(id="b", instances=x[None, :])], [1.0], [1], hyper)
+        out = update_codeword(0.2 * x, BagBatch([Bag(id="b", instances=x[None, :])]), [1.0], [1], hyper)
         cross = out[0] * x[1] - out[1] * x[0]
         assert abs(cross) <= 1e-9 * np.linalg.norm(out) * np.linalg.norm(x)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InvalidInputError):
+            update_codeword([1.0, 0.0, 0.0], BagBatch([bag([1, 1])]), [1.0], [1], Hyperparams())
 
     def test_norm_clipped_to_cap(self):
         # strong u along psi makes the objective unbounded below; the cap
         # must keep the iterate finite
-        bags = [bag([10.0, 0.0])]
+        batch = BagBatch([bag([10.0, 0.0])])
         hyper = Hyperparams(c1=0.01, c2=0.1, eta=0.5, inner_iters=50)
-        out = update_codeword([1.0, 0.0], bags, [1.0], [1], hyper)
+        out = update_codeword([1.0, 0.0], batch, [1.0], [1], hyper)
         assert np.isfinite(out).all()
         assert np.linalg.norm(out) <= 10.0 + 1e-12
 
@@ -275,6 +291,36 @@ class TestFitDTC:
         model, report = fit_dtc(train, toy_source(), Hyperparams(kappa=2, max_outer=2, inner_iters=2))
         assert report.warnings
         assert model.psi.size == 2
+
+    def test_unconverged_solves_are_reported(self, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        def capped(prob, init=None):
+            return solve_box_qp(prob, init=init, max_sweeps=1)
+
+        monkeypatch.setattr(dtmil.learn, "solve_box_qp", capped)
+        rng = np.random.default_rng(15)
+        train = [
+            Bag(id=f"b{i}", label=int(1 if i % 2 else -1), instances=rng.normal(size=(3, 2)))
+            for i in range(8)
+        ]
+        _, report = fit_dtc(train, toy_source(), Hyperparams(kappa=2, max_outer=3, inner_iters=2))
+        capped_rounds = [w for w in report.warnings if "sweep cap" in w]
+        assert capped_rounds
+        assert all("after 1 sweeps" in w for w in capped_rounds)
+        assert capped_rounds[0].startswith("outer round 1:")
+        _, report = fit_dtc(train, toy_source(), Hyperparams(kappa=2, max_outer=0))
+        assert any(w.startswith("single dual solve:") for w in report.warnings)
+
+    def test_converged_solves_add_no_warning(self):
+        rng = np.random.default_rng(15)
+        train = [
+            Bag(id=f"b{i}", label=int(1 if i % 2 else -1), instances=rng.normal(size=(3, 2)))
+            for i in range(8)
+        ]
+        _, report = fit_dtc(train, toy_source(), Hyperparams(kappa=2, max_outer=3, inner_iters=2))
+        assert report.warnings == []
 
     def test_max_outer_zero_uses_initial_dictionary(self):
         rng = np.random.default_rng(5)
@@ -390,8 +436,6 @@ class TestFitDTC:
         assert r1.dual_values == r2.dual_values
 
     def test_batched_embedding_matches_per_bag_path(self):
-        from dtmil.learn import _embed_all
-
         rng = np.random.default_rng(13)
         for _ in range(20):
             d = int(rng.integers(1, 6))
@@ -400,7 +444,7 @@ class TestFitDTC:
                 for i in range(int(rng.integers(1, 9)))
             ]
             dictionary = Dictionary(codewords=rng.normal(size=(int(rng.integers(1, 5)), d)))
-            batched = _embed_all(bags, dictionary)
+            batched = BagBatch(bags).embed(dictionary)
             rows = np.vstack([embed_bag(b, dictionary) for b in bags])
             assert np.array_equal(batched, rows)
 

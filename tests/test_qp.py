@@ -81,6 +81,14 @@ class TestDualProblemValidation:
         with pytest.raises(InvalidInputError):
             DualProblem(gram=[[1.0]], margins=[1.0], labels=[0], c1=1.0)
 
+    def test_non_integral_labels_rejected(self):
+        with pytest.raises(InvalidInputError):
+            DualProblem(gram=np.eye(2), margins=[1.0, 1.0], labels=[1.7, -1.2], c1=1.0)
+
+    def test_integral_float_labels_accepted(self):
+        prob = DualProblem(gram=np.eye(2), margins=[1.0, 1.0], labels=[1.0, -1.0], c1=1.0)
+        assert prob.labels.dtype == np.int64 and prob.labels.tolist() == [1, -1]
+
     def test_nonpositive_c1_rejected(self):
         with pytest.raises(InvalidInputError):
             DualProblem(gram=[[1.0]], margins=[1.0], labels=[1], c1=0.0)
