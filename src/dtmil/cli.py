@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 from .core import AdaptedModel, Hyperparams, embed_bag
 from .data import (
@@ -52,28 +53,24 @@ def _unsigned(text: str) -> int:
     return value
 
 
-def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
+def _add_hyper_flags(parser: argparse.ArgumentParser, weights: bool = True) -> None:
+    # the one place that names a flag per Hyperparams field; sweep passes
+    # weights=False because its --c1/--c2 are grids
     parser.add_argument("--kappa", type=int, default=_DEFAULTS.kappa, help="transfer dictionary size")
-    parser.add_argument("--c1", type=float, default=_DEFAULTS.c1, help="adaptation weight regularizer")
-    parser.add_argument("--c2", type=float, default=_DEFAULTS.c2, help="transfer dictionary regularizer")
+    if weights:
+        parser.add_argument("--c1", type=float, default=_DEFAULTS.c1, help="adaptation weight regularizer")
+        parser.add_argument("--c2", type=float, default=_DEFAULTS.c2, help="transfer dictionary regularizer")
     parser.add_argument("--eta", type=float, default=_DEFAULTS.eta, help="codeword step size")
     parser.add_argument("--inner-iters", type=int, default=_DEFAULTS.inner_iters, help="descent steps per codeword")
     parser.add_argument("--max-outer", type=int, default=_DEFAULTS.max_outer, help="outer iteration cap")
     parser.add_argument("--tol", type=float, default=_DEFAULTS.tol, help="relative dual-change stop")
-    parser.add_argument("--seed", type=_unsigned, default=0, help="seed for all randomness")
+    parser.add_argument("--seed", type=_unsigned, default=_DEFAULTS.seed, help="seed for all randomness")
 
 
 def _hyper_from_args(args) -> Hyperparams:
-    return Hyperparams(
-        c1=args.c1,
-        c2=args.c2,
-        kappa=args.kappa,
-        eta=args.eta,
-        inner_iters=args.inner_iters,
-        max_outer=args.max_outer,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    # a field with no flag on this subcommand keeps its dataclass default
+    given = vars(args)
+    return Hyperparams(**{f.name: given[f.name] for f in fields(Hyperparams) if f.name in given})
 
 
 def _print_fit_report(label: str, report: FitReport, rounds: bool = True) -> None:
@@ -146,14 +143,13 @@ def _cmd_protocol(args) -> int:
     hyper = _hyper_from_args(args)
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    on_fit = (lambda fold, rep: _print_fit_report(f"fold {fold}", rep)) if args.verbose else None
     report = run_protocol(
         source,
         target,
         hyper,
         args.folds,
         conventional=args.conventional,
-        on_fit=on_fit,
+        on_fit=lambda fold, rep: _print_fit_report(f"fold {fold}", rep, rounds=args.verbose),
     )
     if args.verbose:
         for fold, seconds in enumerate(report.per_fold_seconds):
@@ -167,16 +163,7 @@ def _cmd_protocol(args) -> int:
         "per_fold_accuracy": report.per_fold_accuracy,
         "mean_accuracy": report.mean_accuracy,
         "baselines": report.baseline_accuracies,
-        "hyper": {
-            "c1": hyper.c1,
-            "c2": hyper.c2,
-            "kappa": hyper.kappa,
-            "eta": hyper.eta,
-            "inner_iters": hyper.inner_iters,
-            "max_outer": hyper.max_outer,
-            "tol": hyper.tol,
-            "seed": hyper.seed,
-        },
+        "hyper": asdict(hyper),
     }
     write_text_atomic(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _log(
@@ -198,15 +185,7 @@ def _parse_grid(text: str, flag: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    # sweep's --c1/--c2 are the grids; the base hyper keeps default weights
-    hyper = Hyperparams(
-        kappa=args.kappa,
-        eta=args.eta,
-        inner_iters=args.inner_iters,
-        max_outer=args.max_outer,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    hyper = _hyper_from_args(args)  # --c1/--c2 are grids, so the base keeps default weights
     c1_grid = _parse_grid(args.c1_grid, "--c1")
     c2_grid = _parse_grid(args.c2_grid, "--c2")
     source = load_dataset(args.source)
@@ -284,12 +263,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--c1", dest="c1_grid", required=True, help="comma-separated c1 values")
     p.add_argument("--c2", dest="c2_grid", required=True, help="comma-separated c2 values")
     p.add_argument("--folds", type=int, required=True)
-    p.add_argument("--kappa", type=int, default=_DEFAULTS.kappa)
-    p.add_argument("--eta", type=float, default=_DEFAULTS.eta)
-    p.add_argument("--inner-iters", type=int, default=_DEFAULTS.inner_iters)
-    p.add_argument("--max-outer", type=int, default=_DEFAULTS.max_outer)
-    p.add_argument("--tol", type=float, default=_DEFAULTS.tol)
-    p.add_argument("--seed", type=_unsigned, default=0)
+    _add_hyper_flags(p, weights=False)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

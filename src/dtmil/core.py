@@ -48,6 +48,15 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _is_int(value) -> bool:
+    # bool subclasses int, so a JSON true would otherwise pass as 1
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _instance_dots(instances: np.ndarray, codeword: np.ndarray) -> np.ndarray:
     # Row-wise sums keep each instance's dot product bit-identical no matter
     # how many other instances the bag holds or in what order; BLAS gemm does
@@ -123,15 +132,15 @@ class Hyperparams:
     def __post_init__(self):
         for name in ("c1", "c2", "eta", "tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (_is_real(value) and math.isfinite(value) and value > 0):
                 raise InvalidInputError(f"{name} must be a positive finite real, got {value!r}")
-        if not (isinstance(self.kappa, int) and self.kappa >= 1):
+        if not (_is_int(self.kappa) and self.kappa >= 1):
             raise InvalidInputError(f"kappa must be a positive integer, got {self.kappa!r}")
         for name in ("inner_iters", "max_outer"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 0):
+            if not (_is_int(value) and value >= 0):
                 raise InvalidInputError(f"{name} must be a non-negative integer, got {value!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 

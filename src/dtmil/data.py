@@ -16,17 +16,17 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import AdaptedModel, Bag, Dictionary, Hyperparams, SourceModel
+from .core import AdaptedModel, Bag, Dictionary, Hyperparams, SourceModel, _is_int, _is_real
 from .errors import DatasetFormatError, InvalidInputError, ModelFormatError
 
 MODEL_FORMAT_VERSION = 1
 _MODEL_KEYS = {"format_version", "phi", "v", "psi", "w", "hyper"}
 _BAG_KEYS = {"id", "label", "instances"}
-_HYPER_KEYS = {"c1", "c2", "kappa", "eta", "inner_iters", "max_outer", "tol", "seed"}
+_HYPER_KEYS = {f.name for f in fields(Hyperparams)}
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -47,7 +47,7 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def _parse_label(raw, where: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+    if not _is_real(raw):
         raise DatasetFormatError(f"{where}: label must be the number 1 or -1, got {raw!r}")
     if raw not in (1, -1):
         raise DatasetFormatError(f"{where}: label must be 1 or -1, got {raw!r}")
@@ -129,19 +129,6 @@ def save_dataset(bags: list[Bag], path: str) -> None:
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _hyper_to_dict(hyper: Hyperparams) -> dict:
-    return {
-        "c1": hyper.c1,
-        "c2": hyper.c2,
-        "kappa": hyper.kappa,
-        "eta": hyper.eta,
-        "inner_iters": hyper.inner_iters,
-        "max_outer": hyper.max_outer,
-        "tol": hyper.tol,
-        "seed": hyper.seed,
-    }
-
-
 def _hyper_from_dict(raw, path: str) -> Hyperparams:
     if not isinstance(raw, dict) or set(raw) != _HYPER_KEYS:
         raise ModelFormatError(f"{path}: hyper must hold exactly the keys {sorted(_HYPER_KEYS)}")
@@ -160,7 +147,7 @@ def save_model(model: SourceModel | AdaptedModel, path: str) -> None:
             "v": model.source.v.tolist(),
             "psi": model.psi.codewords.tolist(),
             "w": model.w.tolist(),
-            "hyper": _hyper_to_dict(model.hyper),
+            "hyper": asdict(model.hyper),
         }
     elif isinstance(model, SourceModel):
         doc = {
@@ -253,14 +240,16 @@ class SynthConfig:
     noise_sigma: float = 2.0
 
     def __post_init__(self):
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise InvalidInputError(f"d must be a positive integer, got {self.d!r}")
-        for name in ("bags_per_class_source", "bags_per_class_target"):
+        for name in ("d", "bags_per_class_source", "bags_per_class_target"):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= 1):
+            if not (_is_int(value) and value >= 1):
                 raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
-        rng = tuple(self.instances_per_bag)
-        if len(rng) != 2 or not all(isinstance(v, int) for v in rng) or not 1 <= rng[0] <= rng[1]:
+        for name in ("witness_rate", "cluster_separation", "shift_rotation_degrees", "noise_sigma"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+        rng = tuple(self.instances_per_bag) if isinstance(self.instances_per_bag, (tuple, list)) else ()
+        if len(rng) != 2 or not all(_is_int(v) for v in rng) or not 1 <= rng[0] <= rng[1]:
             raise InvalidInputError(
                 f"instances_per_bag must be an integer range (min, max) with 1 <= min <= max, "
                 f"got {self.instances_per_bag!r}"
@@ -282,10 +271,12 @@ class SynthConfig:
 
     def _checked_translation(self):
         raw = self.shift_translation
-        if isinstance(raw, (int, float)):
+        if _is_real(raw):
             if not math.isfinite(raw):
                 raise InvalidInputError("shift_translation must be finite")
             return float(raw)
+        if not (isinstance(raw, (tuple, list)) and all(_is_real(v) for v in raw)):
+            raise InvalidInputError(f"shift_translation must be a real or a vector of reals, got {raw!r}")
         vec = tuple(float(v) for v in raw)
         if len(vec) != self.d or not all(math.isfinite(v) for v in vec):
             raise InvalidInputError(

@@ -154,33 +154,23 @@ def recover_w(beta, labels, features, c1: float) -> np.ndarray:
     return ((beta * labels) @ z) / c1
 
 
-def init_dictionary(bags: list[Bag], size: int, seed: int) -> Dictionary:
-    """Sample ``size`` instances as unit-norm codewords, deterministically.
+def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
+    """Sample ``size`` instances of ``batch`` as unit-norm codewords, deterministically.
 
-    Sampling is uniform without replacement over the pooled instances of all
-    bags (with replacement only when the pool is smaller than ``size``).
-    Zero instances are removed from the pool first (a zero codeword could
-    never move); if every instance is zero the data is unusable.
+    Sampling is uniform without replacement over the stacked instances (with
+    replacement only when the pool is smaller than ``size``).  Zero instances
+    are removed from the pool first (a zero codeword could never move); if
+    every instance is zero the data is unusable.
     """
     if size < 1:
         raise InvalidInputError(f"dictionary size must be >= 1, got {size}")
-    if not bags:
-        raise InvalidInputError("cannot initialize a dictionary from zero bags")
-    pool = np.vstack([bag.instances for bag in bags])
-    norms = np.linalg.norm(pool, axis=1)
-    pool = pool[norms > 0.0]
-    norms = norms[norms > 0.0]
+    norms = np.linalg.norm(batch.instances, axis=1)
+    pool = np.flatnonzero(norms > 0.0)
     if pool.shape[0] == 0:
         raise DegenerateInputError("every pooled instance is the zero vector")
     rng = np.random.default_rng(seed)
-    replace = pool.shape[0] < size
-    idx = rng.choice(pool.shape[0], size=size, replace=replace)
-    return Dictionary(codewords=pool[idx] / norms[idx, None])
-
-
-def _symmetrized_gram(z: np.ndarray) -> np.ndarray:
-    gram = z @ z.T
-    return 0.5 * (gram + gram.T)
+    idx = pool[rng.choice(pool.shape[0], size=size, replace=pool.shape[0] < size)]
+    return Dictionary(codewords=batch.instances[idx] / norms[idx, None])
 
 
 def _warn_unconverged(report: FitReport, state: DualState, where: str) -> None:
@@ -226,15 +216,13 @@ def fit_dtc(
     source_scores = np.array([score_source(bag, source) for bag in target_train])
     margins = 1.0 - labels * source_scores
 
-    psi = init_dictionary(target_train, hyper.kappa, hyper.seed)
+    psi = init_dictionary(batch, hyper.kappa, hyper.seed)
     beta = np.zeros(n)
 
     converged = False
     for outer in range(hyper.max_outer):
         z = batch.embed(psi)
-        prob = DualProblem(
-            gram=_symmetrized_gram(z), margins=margins, labels=labels, c1=hyper.c1
-        )
+        prob = DualProblem(gram=z @ z.T, margins=margins, labels=labels, c1=hyper.c1)
         report.warm_start_dual_values.append(dual_value(beta, prob))
         state = solve_box_qp(prob, init=beta)
         _warn_unconverged(report, state, f"outer round {outer + 1}")
@@ -264,9 +252,7 @@ def fit_dtc(
                 break
 
     z_final = batch.embed(psi)
-    prob_final = DualProblem(
-        gram=_symmetrized_gram(z_final), margins=margins, labels=labels, c1=hyper.c1
-    )
+    prob_final = DualProblem(gram=z_final @ z_final.T, margins=margins, labels=labels, c1=hyper.c1)
     if report.outer_iterations == 0:
         state = solve_box_qp(prob_final)
         _warn_unconverged(report, state, "single dual solve")
@@ -295,14 +281,10 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
         raise InvalidInputError(f"regularizer weight must be positive, got {c!r}")
     if len(set(labels.tolist())) < 2:
         raise InvalidInputError("source training set must contain both classes")
-    phi = init_dictionary(source_data, iota, seed)
-    z = BagBatch(source_data).embed(phi)
-    prob = DualProblem(
-        gram=_symmetrized_gram(z),
-        margins=np.ones(len(source_data)),
-        labels=labels,
-        c1=c,
-    )
+    batch = BagBatch(source_data)
+    phi = init_dictionary(batch, iota, seed)
+    z = batch.embed(phi)
+    prob = DualProblem(gram=z @ z.T, margins=np.ones(len(source_data)), labels=labels, c1=c)
     state = solve_box_qp(prob)
     v = recover_w(state.beta, labels, z, c)
     return SourceModel(phi=phi, v=v)

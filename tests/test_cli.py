@@ -2,10 +2,12 @@
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
-from dtmil.cli import main
+from dtmil import Hyperparams
+from dtmil.cli import _build_parser, _hyper_from_args, main
 
 
 def run(args):
@@ -195,6 +197,29 @@ class TestProtocolCommand:
         assert captured.out == ""
         assert open(quiet, "rb").read() == open(loud, "rb").read()
 
+    def test_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        args = ["protocol", "--source", src, "--target", tgt, "--folds", "3",
+                "--kappa", "3", "--inner-iters", "2", "--max-outer", "2", "--seed", "1"]
+        quiet = str(tmp_path / "q.json")
+        loud = str(tmp_path / "l.json")
+        capsys.readouterr()
+        assert run(args + ["--out", quiet]) == 0
+        captured = capsys.readouterr()
+        assert "fold 0: warning: outer round 1: dual solve stopped at its sweep cap" in captured.err
+        assert "outer 1: dual" not in captured.err  # round values stay behind --verbose
+        assert captured.out == ""
+        assert run(args + ["--out", loud, "--verbose"]) == 0
+        assert open(quiet, "rb").read() == open(loud, "rb").read()
+
 
 class TestSweepCommand:
     def test_csv_row_count(self, workdir):
@@ -215,3 +240,50 @@ class TestSweepCommand:
         assert run(["sweep", "--source", src, "--target", tgt,
                     "--c1", "abc", "--c2", "1", "--folds", "3",
                     "--seed", "0", "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _off_default(name):
+    # a valid value that differs from the field's default
+    return getattr(Hyperparams(), name) * 2 + 1
+
+
+class TestHyperFlags:
+    """Every Hyperparams field must be settable from the CLI; these fail when
+    a new field is added to the dataclass but not to the flag builder."""
+
+    COMMANDS = {
+        "adapt": ["--source-model", "m", "--target-train", "t", "--out", "o"],
+        "protocol": ["--source", "s", "--target", "t", "--folds", "2", "--out", "o"],
+        "sweep": ["--source", "s", "--target", "t", "--c1", "1", "--c2", "1",
+                  "--folds", "2", "--out", "o"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_field_has_a_flag(self, command):
+        # sweep's --c1/--c2 are grids, so its base keeps the default weights
+        names = [f.name for f in fields(Hyperparams)
+                 if command != "sweep" or f.name not in ("c1", "c2")]
+        values = {name: _off_default(name) for name in names}
+        argv = [command] + self.COMMANDS[command]
+        for name, value in values.items():
+            argv += [_flag(name), str(value)]
+        args = _build_parser().parse_args(argv)
+        assert _hyper_from_args(args) == Hyperparams(**values)
+
+    def test_protocol_report_and_model_file_share_hyper_keys(self, workdir):
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        tiny = ["--kappa", "2", "--inner-iters", "1", "--max-outer", "1"]
+        model, adapted, report = (str(tmp_path / n) for n in ("m.json", "a.json", "r.json"))
+        assert run(["train-source", "--data", src, "--words", "2", "--out", model]) == 0
+        assert run(["adapt", "--source-model", model, "--target-train", tgt,
+                    "--out", adapted] + tiny) == 0
+        assert run(["protocol", "--source", src, "--target", tgt, "--folds", "2",
+                    "--out", report] + tiny) == 0
+        model_keys = set(json.loads(open(adapted).read())["hyper"])
+        assert set(json.loads(open(report).read())["hyper"]) == model_keys
+        assert model_keys == {f.name for f in fields(Hyperparams)}

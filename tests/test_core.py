@@ -65,6 +65,15 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             Hyperparams(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("c1", True), ("c2", True), ("eta", True), ("tol", True),
+        ("kappa", True), ("inner_iters", True), ("max_outer", False), ("seed", False),
+    ])
+    def test_hyperparams_rejects_booleans(self, field, value):
+        # each value would pass as the integer 0 or 1
+        with pytest.raises(InvalidInputError):
+            Hyperparams(**{field: value})
+
     def test_hyperparams_degenerate_budgets_are_legal(self):
         Hyperparams(inner_iters=0, max_outer=0)
 

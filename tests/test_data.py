@@ -191,6 +191,17 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="all null"):
             load_model(str(path))
 
+    @pytest.mark.parametrize("field,value", [("kappa", True), ("c1", True), ("seed", False)])
+    def test_boolean_hyper_rejected(self, tmp_path, field, value):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "bool.json"
+        save_model(make_adapted(rng), str(path))
+        doc = json.loads(path.read_text())
+        doc["hyper"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=field):
+            load_model(str(path))
+
     def test_load_model_returns_matching_kind(self, tmp_path):
         rng = np.random.default_rng(8)
         adapted = make_adapted(rng)
@@ -216,6 +227,8 @@ class TestSynthConfig:
         {"bags_per_class_source": 0},
         {"d": 1, "shift_rotation_degrees": 10.0},
         {"shift_translation": (1.0, 2.0)},  # wrong length for d=10
+        {"d": 2, "shift_translation": ("1.5", "2")},
+        {"instances_per_bag": 5},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidInputError):
@@ -230,6 +243,23 @@ class TestSynthConfig:
     def test_vector_translation_passthrough(self):
         cfg = SynthConfig(d=3, shift_translation=(1.0, -1.0, 0.5))
         assert cfg.translation_vector().tolist() == [1.0, -1.0, 0.5]
+
+    @pytest.mark.parametrize("raw", [
+        {"d": True, "shift_rotation_degrees": 0.0, "shift_translation": 0.0},
+        {"bags_per_class_source": True},
+        {"bags_per_class_target": True},
+        {"instances_per_bag": [True, 2]},
+        {"witness_rate": True},
+        {"cluster_separation": True},
+        {"shift_rotation_degrees": False},
+        {"shift_translation": True},
+        {"shift_translation": [True] * 10},
+        {"noise_sigma": False},
+    ], ids=lambda raw: next(iter(raw)))
+    def test_from_dict_rejects_booleans(self, raw):
+        # JSON true/false would otherwise pass as the numbers 1 and 0
+        with pytest.raises(InvalidInputError):
+            SynthConfig.from_dict(raw)
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(InvalidInputError):

@@ -239,19 +239,19 @@ class TestRecoverW:
 
 class TestInitDictionary:
     def test_normalizes_single_instance(self):
-        d = init_dictionary([bag([3.0, 4.0])], size=1, seed=0)
+        d = init_dictionary(BagBatch([bag([3.0, 4.0])]), size=1, seed=0)
         np.testing.assert_allclose(d.codewords, [[0.6, 0.8]], rtol=0, atol=1e-15)
 
     def test_deterministic_given_seed(self):
-        bags = [bag([1, 2], [3, 4]), bag([5, 6], [7, 8])]
-        a = init_dictionary(bags, size=3, seed=42)
-        b = init_dictionary(bags, size=3, seed=42)
+        batch = BagBatch([bag([1, 2], [3, 4]), bag([5, 6], [7, 8])])
+        a = init_dictionary(batch, size=3, seed=42)
+        b = init_dictionary(batch, size=3, seed=42)
         assert np.array_equal(a.codewords, b.codewords)
 
     def test_exhausts_pool_without_replacement(self):
         rows = [[1.0, 0.0], [0.0, 2.0], [3.0, 3.0], [-1.0, 1.0]]
         bags = [bag(*rows[:2], bag_id="b1"), bag(*rows[2:], bag_id="b2")]
-        d = init_dictionary(bags, size=4, seed=7)
+        d = init_dictionary(BagBatch(bags), size=4, seed=7)
         normalized = sorted((np.asarray(r) / np.linalg.norm(r)).tolist() for r in rows)
         sampled = sorted(w.tolist() for w in d.codewords)
         assert np.allclose(normalized, sampled)
@@ -259,20 +259,20 @@ class TestInitDictionary:
     def test_unit_norms(self):
         rng = np.random.default_rng(4)
         bags = [Bag(id=f"b{i}", instances=rng.normal(size=(5, 3)) * 10) for i in range(4)]
-        d = init_dictionary(bags, size=8, seed=1)
+        d = init_dictionary(BagBatch(bags), size=8, seed=1)
         np.testing.assert_allclose(np.linalg.norm(d.codewords, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_oversampling_with_replacement(self):
-        d = init_dictionary([bag([1.0, 0.0])], size=5, seed=0)
+        d = init_dictionary(BagBatch([bag([1.0, 0.0])]), size=5, seed=0)
         assert d.size == 5
 
     def test_zero_instances_filtered(self):
-        d = init_dictionary([bag([0.0, 0.0], [3.0, 4.0])], size=2, seed=0)
+        d = init_dictionary(BagBatch([bag([0.0, 0.0], [3.0, 4.0])]), size=2, seed=0)
         np.testing.assert_allclose(d.codewords, [[0.6, 0.8], [0.6, 0.8]])
 
     def test_all_zero_pool_rejected(self):
         with pytest.raises(DegenerateInputError):
-            init_dictionary([bag([0.0, 0.0])], size=1, seed=0)
+            init_dictionary(BagBatch([bag([0.0, 0.0])]), size=1, seed=0)
 
 
 def toy_source(d=2):
@@ -333,7 +333,7 @@ class TestFitDTC:
         assert report.outer_iterations == 0
         assert report.dual_values == [] and report.primal_values == []
         # dictionary untouched from initialization
-        expected = init_dictionary(train, 3, 9)
+        expected = init_dictionary(BagBatch(train), 3, 9)
         assert np.array_equal(model.psi.codewords, expected.codewords)
         # w comes from a single dual solve on those embeddings
         labels = np.array([b.label for b in train])
@@ -448,6 +448,17 @@ class TestFitDTC:
             rows = np.vstack([embed_bag(b, dictionary) for b in bags])
             assert np.array_equal(batched, rows)
 
+    def test_gram_of_embeddings_is_exactly_symmetric(self):
+        # the fit hands z @ z.T to the dual unsymmetrized; numpy evaluates
+        # a @ a.T as a symmetric rank-k update, so it is symmetric bit for bit
+        rng = np.random.default_rng(14)
+        for n, m in ((1, 1), (30, 5), (400, 20)):
+            bags = [Bag(id=f"b{i}", instances=rng.normal(size=(3, 4))) for i in range(n)]
+            batch = BagBatch(bags)
+            z = batch.embed(init_dictionary(batch, m, seed=n))
+            gram = z @ z.T
+            assert np.array_equal(gram, gram.T)
+
     def test_reported_primal_matches_public_objective(self):
         rng = np.random.default_rng(14)
         train = [
@@ -463,7 +474,7 @@ class TestFitDTC:
         from dtmil.qp import DualProblem
 
         labels = np.array([b.label for b in train])
-        psi0 = init_dictionary(train, hyper.kappa, hyper.seed)
+        psi0 = init_dictionary(BagBatch(train), hyper.kappa, hyper.seed)
         z = np.vstack([embed_bag(b, psi0) for b in train])
         f = np.array([score_source(b, source) for b in train])
         gram = z @ z.T
