@@ -35,7 +35,6 @@ from .errors import (
     DegenerateInputError,
     InvalidInputError,
     ModelFormatError,
-    NumericalInputError,
 )
 from .evaluate import (
     FoldSplit,
@@ -51,11 +50,10 @@ from .learn import (
     codeword_objective,
     fit_dtc,
     init_dictionary,
-    recover_w,
     train_source,
     update_codeword,
 )
-from .qp import DualProblem, DualState, dual_value, kkt_residual, solve_box_qp
+from .qp import DualProblem, DualState, dual_value, kkt_residual, recover_w, solve_box_qp
 
 __all__ = [
     "AdaptedModel",
@@ -71,7 +69,6 @@ __all__ = [
     "Hyperparams",
     "InvalidInputError",
     "ModelFormatError",
-    "NumericalInputError",
     "ProtocolReport",
     "SourceModel",
     "SynthConfig",

@@ -1,7 +1,7 @@
 """Command-line entry point wiring the library into runnable workflows.
 
 Subcommands: synth, train-source, adapt, eval, protocol, sweep, embed.
-Exit codes: 0 success, 1 validation error, 2 runtime/numerical error.
+Exit codes: 0 success, 1 validation error, 2 runtime error.
 Diagnostics go to stderr; data goes to the requested output files.  Output
 files are written atomically (temp file + rename), so a failing run never
 leaves a partial file.  All randomness flows from the --seed flags.
@@ -25,7 +25,7 @@ from .data import (
     save_model,
     write_text_atomic,
 )
-from .errors import InvalidInputError, NumericalInputError
+from .errors import InvalidInputError
 from .evaluate import accuracy, run_protocol, sweep, sweep_rows_to_csv
 from .learn import FitReport, fit_dtc, train_source
 
@@ -190,7 +190,11 @@ def _cmd_sweep(args) -> int:
     c2_grid = _parse_grid(args.c2_grid, "--c2")
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds, args.seed)
+
+    def on_fit(c1, c2, fold, rep):
+        _print_fit_report(f"c1={c1} c2={c2} fold {fold}", rep, rounds=False)
+
+    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds, args.seed, on_fit=on_fit)
     write_text_atomic(args.out, sweep_rows_to_csv(rows))
     _log(f"swept {len(c1_grid)}x{len(c2_grid)} grid over {args.folds} folds -> {args.out}")
     return 0
@@ -295,9 +299,6 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
         return 1
-    except NumericalInputError as exc:
-        _log(f"numerical error: {exc}")
-        return 2
     except Exception as exc:  # runtime failures
         _log(f"runtime error: {type(exc).__name__}: {exc}")
         return 2

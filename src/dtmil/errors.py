@@ -5,11 +5,6 @@ class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class NumericalInputError(ValueError):
-    """An input is structurally valid but numerically unusable (e.g. an
-    indefinite Gram matrix)."""
-
-
 class DegenerateInputError(InvalidInputError):
     """Data or initialization that would pin the algorithm at a fixed point
     (all-zero codeword, all-zero instance pool)."""

@@ -183,11 +183,13 @@ def sweep(
     c2_grid: list[float],
     k: int,
     seed: int,
+    on_fit=None,
 ) -> list[dict]:
     """Run the protocol over a (c1, c2) grid; one row per (c1, c2, fold).
 
     The source model is trained once from ``base_hyper`` and shared across
     all grid cells, so the sweep varies only the adaptation regularizers.
+    ``on_fit(c1, c2, fold, FitReport)`` is invoked after each fold's fit.
     """
     if not c1_grid or not c2_grid:
         raise InvalidInputError("c1 and c2 grids must be nonempty")
@@ -198,7 +200,9 @@ def sweep(
     for c1 in c1_grid:
         for c2 in c2_grid:
             hyper = replace(base_hyper, c1=c1, c2=c2, seed=seed)
-            report = run_protocol(source, target, hyper, k, source_model=shared_model)
+            # run_protocol calls it before this cell ends, so c1 and c2 are current
+            cell_on_fit = None if on_fit is None else (lambda fold, rep: on_fit(c1, c2, fold, rep))
+            report = run_protocol(source, target, hyper, k, shared_model, on_fit=cell_on_fit)
             for fold in range(k):
                 rows.append(
                     {

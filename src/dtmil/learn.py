@@ -34,7 +34,7 @@ from .core import (
     score_source,
 )
 from .errors import DegenerateInputError, InvalidInputError
-from .qp import DualProblem, DualState, dual_value, solve_box_qp
+from .qp import DualProblem, DualState, dual_value, recover_w, solve_box_qp
 
 DEFAULT_CODEWORD_NORM_CAP = 10.0
 
@@ -135,25 +135,6 @@ def update_codeword(
     return psi
 
 
-def recover_w(beta, labels, features, c1: float) -> np.ndarray:
-    """Closed-form adaptation weights (1/c1) sum_i beta_i y_i z_i.
-
-    ``features`` must be the bag features computed against the final
-    transfer dictionary, one row per bag.
-    """
-    beta = np.asarray(beta, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    z = np.asarray(features, dtype=np.float64)
-    if z.ndim != 2:
-        raise InvalidInputError(f"features must be a 2-D array, got ndim={z.ndim}")
-    n = z.shape[0]
-    if beta.shape != (n,) or labels.shape != (n,):
-        raise InvalidInputError(
-            f"beta {beta.shape} and labels {labels.shape} must match feature count {n}"
-        )
-    return ((beta * labels) @ z) / c1
-
-
 def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
     """Sample ``size`` instances of ``batch`` as unit-norm codewords, deterministically.
 
@@ -222,7 +203,7 @@ def fit_dtc(
     converged = False
     for outer in range(hyper.max_outer):
         z = batch.embed(psi)
-        prob = DualProblem(gram=z @ z.T, margins=margins, labels=labels, c1=hyper.c1)
+        prob = DualProblem(features=z, margins=margins, labels=labels, c1=hyper.c1)
         report.warm_start_dual_values.append(dual_value(beta, prob))
         state = solve_box_qp(prob, init=beta)
         _warn_unconverged(report, state, f"outer round {outer + 1}")
@@ -239,7 +220,7 @@ def fit_dtc(
                 new_words.append(update_codeword(word, batch, beta, labels, hyper))
         psi = Dictionary(codewords=np.vstack(new_words))
 
-        w_iter = recover_w(beta, labels, z, hyper.c1)
+        w_iter = recover_w(beta, prob)
         report.primal_values.append(
             _primal_from_cache(source_scores, z, w_iter, labels, psi_before, hyper)
         )
@@ -252,7 +233,7 @@ def fit_dtc(
                 break
 
     z_final = batch.embed(psi)
-    prob_final = DualProblem(gram=z_final @ z_final.T, margins=margins, labels=labels, c1=hyper.c1)
+    prob_final = DualProblem(features=z_final, margins=margins, labels=labels, c1=hyper.c1)
     if report.outer_iterations == 0:
         state = solve_box_qp(prob_final)
         _warn_unconverged(report, state, "single dual solve")
@@ -261,7 +242,7 @@ def fit_dtc(
     else:
         report.final_dual_value = dual_value(beta, prob_final)
 
-    w = recover_w(beta, labels, z_final, hyper.c1)
+    w = recover_w(beta, prob_final)
     model = AdaptedModel(source=source, psi=psi, w=w, hyper=hyper)
     report.converged = converged
     report.final_beta = beta
@@ -284,7 +265,7 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
     batch = BagBatch(source_data)
     phi = init_dictionary(batch, iota, seed)
     z = batch.embed(phi)
-    prob = DualProblem(gram=z @ z.T, margins=np.ones(len(source_data)), labels=labels, c1=c)
+    prob = DualProblem(features=z, margins=np.ones(len(source_data)), labels=labels, c1=c)
     state = solve_box_qp(prob)
-    v = recover_w(state.beta, labels, z, c)
+    v = recover_w(state.beta, prob)
     return SourceModel(phi=phi, v=v)

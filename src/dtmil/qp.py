@@ -5,11 +5,13 @@ The dual problem has one variable per training bag, box-constrained to
 
     D(beta) = sum_i beta_i r_i - (1/(2 c1)) sum_ij beta_i beta_j y_i y_j K_ij
 
-where K is the Gram matrix of bag features and r_i the margin deficit of the
-source classifier on bag i.  The slack variables of the primal hinge losses
-and their multipliers are eliminated analytically (each one equals 1/n -
-beta_i), which is exactly where the box's upper bound comes from; they have
-no runtime representation here.
+where K = Z Z^T is the Gram matrix of the bag features Z and r_i the margin
+deficit of the source classifier on bag i.  The problem is built from Z, so K
+is symmetric positive semidefinite by construction and needs no check.  The
+slack variables of the primal hinge losses and their multipliers are
+eliminated analytically (each one equals 1/n - beta_i), which is exactly
+where the box's upper bound comes from; they have no runtime representation
+here.  The adaptation weights are recovered from beta in closed form.
 
 The solver runs exact coordinate-ascent sweeps in fixed ascending index
 order: each coordinate of a concave quadratic is maximized in closed form
@@ -19,14 +21,13 @@ is exactly feasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalInputError
+from .errors import InvalidInputError
 
 BOX_FEASIBILITY_TOL = 1e-9
-PSD_EIGENVALUE_TOL = -1e-8
 DEFAULT_SWEEP_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 10_000
 
@@ -35,43 +36,45 @@ DEFAULT_MAX_SWEEPS = 10_000
 class DualProblem:
     """Immutable data of one dual maximization.
 
-    gram    : (n, n) Gram matrix K_ij = z_i . z_j of bag features
-    margins : r_i = 1 - y_i * f_i, the per-bag margin deficits
-    labels  : (n,) vector of +1 / -1
-    c1      : weight of the adaptation-weight regularizer
+    features : (n, d) bag features z_i, one row per bag
+    margins  : r_i = 1 - y_i * f_i, the per-bag margin deficits
+    labels   : (n,) vector of +1 / -1
+    c1       : weight of the adaptation-weight regularizer
+    gram     : derived (n, n) Gram matrix K_ij = z_i . z_j
     """
 
-    gram: np.ndarray
+    features: np.ndarray
     margins: np.ndarray
     labels: np.ndarray
     c1: float
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=np.float64)
-        margins = np.asarray(self.margins, dtype=np.float64)
+        # copies, so that freezing them below leaves the caller's arrays writable
+        features = np.array(self.features, dtype=np.float64, order="C")
+        margins = np.array(self.margins, dtype=np.float64)
         labels = np.asarray(self.labels)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise InvalidInputError(f"gram must be square, got shape {gram.shape}")
-        n = gram.shape[0]
-        if n < 1:
-            raise InvalidInputError("gram must be nonempty")
+        if features.ndim != 2 or features.size == 0:
+            raise InvalidInputError(f"features must be a nonempty 2-D array, got shape {features.shape}")
+        n = features.shape[0]
         if margins.shape != (n,) or labels.shape != (n,):
             raise InvalidInputError(
                 f"margins {margins.shape} and labels {labels.shape} must both have length {n}"
             )
-        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(margins))):
-            raise InvalidInputError("gram and margins must be finite")
-        scale = max(1.0, float(np.abs(gram).max()))
-        if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-9 * scale):
-            raise InvalidInputError("gram matrix is not symmetric")
+        if not (np.all(np.isfinite(features)) and np.all(np.isfinite(margins))):
+            raise InvalidInputError("features and margins must be finite")
+        # numpy computes a @ a.T as a symmetric rank-k update: exactly symmetric
+        with np.errstate(over="ignore"):
+            gram = features @ features.T
+        if not np.all(np.isfinite(gram)):
+            raise InvalidInputError("gram matrix of the features overflows")
         # checked before the integer cast, which would truncate 1.7 to 1
         if not np.all(np.isin(labels, (1, -1))):
             raise InvalidInputError("labels must be +1 or -1")
         labels = labels.astype(np.int64)
         if not (np.isfinite(self.c1) and self.c1 > 0):
             raise InvalidInputError(f"c1 must be a positive finite real, got {self.c1!r}")
-        for name, arr in (("gram", gram), ("margins", margins), ("labels", labels)):
-            arr = np.ascontiguousarray(arr)
+        for name, arr in zip(("features", "margins", "labels", "gram"), (features, margins, labels, gram)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "c1", float(self.c1))
@@ -121,6 +124,12 @@ def dual_value(beta, prob: DualProblem) -> float:
     return float(beta @ prob.margins - 0.5 / prob.c1 * (signed @ prob.gram @ signed))
 
 
+def recover_w(beta, prob: DualProblem) -> np.ndarray:
+    """Closed-form adaptation weights (1/c1) sum_i beta_i y_i z_i."""
+    beta = _checked_beta(beta, prob)
+    return ((beta * prob.labels) @ prob.features) / prob.c1
+
+
 def _gradient(beta: np.ndarray, prob: DualProblem) -> np.ndarray:
     return prob.margins - prob.labels * (prob.gram @ (beta * prob.labels)) / prob.c1
 
@@ -145,7 +154,6 @@ def kkt_residual(beta, prob: DualProblem) -> float:
 def solve_box_qp(
     prob: DualProblem,
     init=None,
-    sweep_tol: float = DEFAULT_SWEEP_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> DualState:
     """Maximize the dual objective over the box [0, 1/n]^n.
@@ -155,7 +163,7 @@ def solve_box_qp(
     computed in closed form and clamped to the box; a zero-diagonal
     coordinate makes the objective linear, so it jumps to whichever bound
     the gradient favors.  Stops when the largest per-coordinate change
-    within one sweep falls below ``sweep_tol`` (converged) or after
+    within one sweep falls below ``DEFAULT_SWEEP_TOL`` (converged) or after
     ``max_sweeps`` sweeps (converged = False).
 
     ``init`` warm-starts the iterate (validated against the box, then
@@ -163,11 +171,6 @@ def solve_box_qp(
     """
     n = prob.n
     ub = prob.box_upper
-    min_eig = float(np.linalg.eigvalsh(prob.gram).min())
-    if min_eig < PSD_EIGENVALUE_TOL:
-        raise NumericalInputError(
-            f"gram matrix is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-        )
     if init is None:
         beta = np.zeros(n)
     else:
@@ -200,7 +203,7 @@ def solve_box_qp(
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
         sweeps += 1
-        if max_delta < sweep_tol:
+        if max_delta < DEFAULT_SWEEP_TOL:
             converged = True
             break
 

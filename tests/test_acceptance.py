@@ -55,11 +55,8 @@ def _record(index, name, passed, detail=""):
 
 def random_dual_problem(rng, n):
     d = int(rng.integers(1, 7))
-    z = rng.normal(size=(n, d))
-    gram = z @ z.T
-    gram = 0.5 * (gram + gram.T)
     return DualProblem(
-        gram=gram,
+        features=rng.normal(size=(n, d)),
         margins=rng.uniform(-2.0, 2.0, size=n),
         labels=rng.choice([1, -1], size=n),
         c1=float(rng.uniform(0.3, 3.0)),

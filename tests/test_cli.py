@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import pytest
 
-from dtmil import Hyperparams
+from dtmil import Bag, Hyperparams, SynthConfig, generate_synthetic, save_dataset
 from dtmil.cli import _build_parser, _hyper_from_args, main
 
 
@@ -80,6 +80,23 @@ class TestValidationErrors:
         assert code == 1
         assert not os.path.exists(out)
 
+    def test_runtime_error_exits_2_without_output(self, workdir, capsys, monkeypatch):
+        import dtmil.cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model = str(tmp_path / "model.json")
+        assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
+        monkeypatch.setattr(dtmil.cli, "fit_dtc", boom)
+        out = str(tmp_path / "adapted.json")
+        capsys.readouterr()
+        assert run(["adapt", "--source-model", model, "--target-train", tgt, "--out", out]) == 2
+        assert "runtime error: RuntimeError: boom" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_missing_input_file_exits_1(self, tmp_path):
         code = run(["train-source", "--data", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "m.json")])
@@ -105,6 +122,17 @@ class TestPipeline:
         assert set(doc) == {"accuracy", "n"}
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["n"] == 16
+
+    def test_train_source_on_large_scale_features(self, tmp_path):
+        # x100 instances give Gram entries near 1e6; the dual must accept them
+        source, _ = generate_synthetic(SynthConfig(), 0)
+        data = str(tmp_path / "source-x100.jsonl")
+        save_dataset(
+            [Bag(id=b.id, instances=b.instances * 100.0, label=b.label) for b in source], data
+        )
+        model = str(tmp_path / "model.json")
+        assert run(["train-source", "--data", data, "--out", model]) == 0
+        assert os.path.exists(model)
 
     def test_adapt_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
         import dtmil.learn
@@ -233,6 +261,28 @@ class TestSweepCommand:
         lines = open(out).read().splitlines()
         assert lines[0] == "c1,c2,fold,accuracy,seconds"
         assert len(lines) == 1 + 2 * 2 * 3
+
+    def test_reports_unconverged_solves(self, workdir, capsys, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        capsys.readouterr()
+        assert run(["sweep", "--source", src, "--target", tgt,
+                    "--c1", "0.5", "--c2", "0.1", "--folds", "3",
+                    "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
+                    "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        captured = capsys.readouterr()
+        for fold in range(3):
+            assert (f"c1=0.5 c2=0.1 fold {fold}: warning: outer round 1: "
+                    "dual solve stopped at its sweep cap") in captured.err
+        assert "outer 1: dual" not in captured.err
+        assert captured.out == ""
 
     def test_bad_grid_exits_1(self, workdir):
         tmp_path, config = workdir

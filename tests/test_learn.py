@@ -213,10 +213,12 @@ class TestUpdateCodeword:
 
 class TestRecoverW:
     def test_zero_beta(self):
-        assert recover_w([0.0], [1], [[1.0, 2.0]], 1.0).tolist() == [0.0, 0.0]
+        prob = DualProblem(features=[[1.0, 2.0]], margins=[1.0], labels=[1], c1=1.0)
+        assert recover_w([0.0], prob).tolist() == [0.0, 0.0]
 
     def test_scalar_arithmetic(self):
-        assert recover_w([1.0], [1], [[2.0, 0.0]], 2.0).tolist() == [1.0, 0.0]
+        prob = DualProblem(features=[[2.0, 0.0]], margins=[1.0], labels=[1], c1=2.0)
+        assert recover_w([1.0], prob).tolist() == [1.0, 0.0]
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(3)
@@ -230,11 +232,12 @@ class TestRecoverW:
             for i in range(n):
                 expected += beta[i] * labels[i] * z[i]
             expected /= c1
-            np.testing.assert_allclose(recover_w(beta, labels, z, c1), expected, rtol=0, atol=1e-12)
+            prob = DualProblem(features=z, margins=np.ones(n), labels=labels, c1=c1)
+            np.testing.assert_allclose(recover_w(beta, prob), expected, rtol=0, atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidInputError):
-            recover_w([1.0, 0.5], [1], [[1.0]], 1.0)
+            recover_w([1.0, 0.5], DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0))
 
 
 class TestInitDictionary:
@@ -362,7 +365,7 @@ class TestFitDTC:
         # beta = 0 is optimal here, which the KKT residual confirms
         labels = np.array([b.label for b in train])
         z = np.vstack([embed_bag(b, model.psi) for b in train])
-        prob = DualProblem(gram=z @ z.T, margins=1 - labels * np.array(
+        prob = DualProblem(features=z, margins=1 - labels * np.array(
             [score_source(b, source) for b in train]), labels=labels, c1=model.hyper.c1)
         assert kkt_residual(report.final_beta, prob) == 0.0
 
@@ -449,15 +452,16 @@ class TestFitDTC:
             assert np.array_equal(batched, rows)
 
     def test_gram_of_embeddings_is_exactly_symmetric(self):
-        # the fit hands z @ z.T to the dual unsymmetrized; numpy evaluates
-        # a @ a.T as a symmetric rank-k update, so it is symmetric bit for bit
+        # the solver reads rows of the Gram where the update needs columns;
+        # DualProblem builds it as z @ z.T, which numpy evaluates as a
+        # symmetric rank-k update, so it is symmetric bit for bit
         rng = np.random.default_rng(14)
         for n, m in ((1, 1), (30, 5), (400, 20)):
             bags = [Bag(id=f"b{i}", instances=rng.normal(size=(3, 4))) for i in range(n)]
             batch = BagBatch(bags)
             z = batch.embed(init_dictionary(batch, m, seed=n))
-            gram = z @ z.T
-            assert np.array_equal(gram, gram.T)
+            prob = DualProblem(features=z, margins=np.ones(n), labels=np.ones(n), c1=1.0)
+            assert np.array_equal(prob.gram, prob.gram.T)
 
     def test_reported_primal_matches_public_objective(self):
         rng = np.random.default_rng(14)
@@ -477,11 +481,9 @@ class TestFitDTC:
         psi0 = init_dictionary(BagBatch(train), hyper.kappa, hyper.seed)
         z = np.vstack([embed_bag(b, psi0) for b in train])
         f = np.array([score_source(b, source) for b in train])
-        gram = z @ z.T
-        prob = DualProblem(gram=0.5 * (gram + gram.T), margins=1 - labels * f,
-                           labels=labels, c1=hyper.c1)
+        prob = DualProblem(features=z, margins=1 - labels * f, labels=labels, c1=hyper.c1)
         beta = solve_box_qp(prob).beta
-        w = recover_w(beta, labels, z, hyper.c1)
+        w = recover_w(beta, prob)
         model = AdaptedModel(source, psi0, w, hyper)
         np.testing.assert_allclose(
             report.primal_values[0], primal_objective(train, model), rtol=0, atol=1e-12
@@ -536,3 +538,27 @@ class TestTrainSource:
         ]
         model = train_source(bags, iota=5, c=0.5, seed=3)
         assert model.phi.size == 5 and model.v.shape == (5,)
+
+
+def scaled(bags, factor):
+    return [Bag(id=b.id, instances=b.instances * factor, label=b.label) for b in bags]
+
+
+class TestLargeScaleFeatures:
+    """Instances scaled x100 give Grams with entries near 1e6, whose
+    eigenvalues round slightly below zero; the dual must still solve them."""
+
+    def test_train_source_on_scaled_default_source(self):
+        source, _ = generate_synthetic(SynthConfig(), 0)
+        model = train_source(scaled(source, 100.0), iota=10, c=1.0, seed=0)
+        assert np.isfinite(model.v).all() and np.any(model.v != 0.0)
+
+    def test_fit_dtc_on_scaled_target(self):
+        source, target = generate_synthetic(SynthConfig(), 0)
+        model, report = fit_dtc(
+            scaled(target, 100.0)[:40],
+            train_source(source, iota=10, c=1.0, seed=0),
+            Hyperparams(max_outer=2, inner_iters=2),
+        )
+        assert np.isfinite(model.w).all()
+        assert report.dual_values[-1] >= report.warm_start_dual_values[-1]

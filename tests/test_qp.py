@@ -7,7 +7,6 @@ import pytest
 from dtmil import (
     DualProblem,
     InvalidInputError,
-    NumericalInputError,
     dual_value,
     kkt_residual,
     solve_box_qp,
@@ -15,11 +14,8 @@ from dtmil import (
 
 
 def random_problem(rng, n, features=4, c1=None):
-    z = rng.normal(size=(n, features))
-    gram = z @ z.T
-    gram = 0.5 * (gram + gram.T)
     return DualProblem(
-        gram=gram,
+        features=rng.normal(size=(n, features)),
         margins=rng.uniform(-2.0, 2.0, size=n),
         labels=rng.choice([1, -1], size=n),
         c1=c1 if c1 is not None else float(rng.uniform(0.5, 2.0)),
@@ -49,66 +45,77 @@ class TestDualValue:
         assert dual_value(np.zeros(4), prob) == 0.0
 
     def test_scalar_hand_value(self):
-        prob = DualProblem(gram=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+        prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
         # 0.5 * 1 - (1/2) * 0.25 = 0.375
         assert dual_value([0.5], prob) == 0.375
 
     def test_zero_gram_leaves_linear_term(self):
         rng = np.random.default_rng(1)
         margins = rng.uniform(-1, 1, size=3)
-        prob = DualProblem(gram=np.zeros((3, 3)), margins=margins, labels=[1, -1, 1], c1=1.0)
+        prob = DualProblem(features=np.zeros((3, 1)), margins=margins, labels=[1, -1, 1], c1=1.0)
         beta = rng.uniform(0, 1.0 / 3.0, size=3)
         np.testing.assert_allclose(dual_value(beta, prob), beta @ margins, rtol=0, atol=1e-15)
 
     def test_rejects_beta_outside_box(self):
-        prob = DualProblem(gram=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+        prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
         with pytest.raises(InvalidInputError):
             dual_value([1.1], prob)
         with pytest.raises(InvalidInputError):
             dual_value([-1e-6], prob)
 
     def test_tolerates_tiny_box_violation(self):
-        prob = DualProblem(gram=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+        prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
         dual_value([1.0 + 1e-10], prob)
 
 
 class TestDualProblemValidation:
-    def test_asymmetric_gram_rejected(self):
-        with pytest.raises(InvalidInputError):
-            DualProblem(gram=[[1.0, 0.5], [0.0, 1.0]], margins=[1, 1], labels=[1, 1], c1=1.0)
-
     def test_bad_labels_rejected(self):
         with pytest.raises(InvalidInputError):
-            DualProblem(gram=[[1.0]], margins=[1.0], labels=[0], c1=1.0)
+            DualProblem(features=[[1.0]], margins=[1.0], labels=[0], c1=1.0)
 
     def test_non_integral_labels_rejected(self):
         with pytest.raises(InvalidInputError):
-            DualProblem(gram=np.eye(2), margins=[1.0, 1.0], labels=[1.7, -1.2], c1=1.0)
+            DualProblem(features=np.eye(2), margins=[1.0, 1.0], labels=[1.7, -1.2], c1=1.0)
 
     def test_integral_float_labels_accepted(self):
-        prob = DualProblem(gram=np.eye(2), margins=[1.0, 1.0], labels=[1.0, -1.0], c1=1.0)
+        prob = DualProblem(features=np.eye(2), margins=[1.0, 1.0], labels=[1.0, -1.0], c1=1.0)
         assert prob.labels.dtype == np.int64 and prob.labels.tolist() == [1, -1]
+
+    @pytest.mark.parametrize(
+        "features",
+        [[[1e200]], [[np.nan]], [1.0], np.zeros((1, 0))],
+        ids=["gram-overflows", "non-finite", "1-D", "empty"],
+    )
+    def test_bad_features_rejected(self, features):
+        with pytest.raises(InvalidInputError):
+            DualProblem(features=features, margins=[1.0], labels=[1], c1=1.0)
+
+    def test_gram_is_read_only_product(self):
+        prob = DualProblem(features=[[1.0, 2.0], [3.0, 4.0]], margins=[1.0, 1.0], labels=[1, -1], c1=1.0)
+        assert prob.gram.tolist() == [[5.0, 11.0], [11.0, 25.0]]
+        with pytest.raises(ValueError):
+            prob.gram[0, 0] = 0.0
+
+    def test_caller_arrays_stay_writable(self):
+        features, margins = np.ones((2, 3)), np.ones(2)
+        DualProblem(features=features, margins=margins, labels=[1, -1], c1=1.0)
+        assert features.flags.writeable and margins.flags.writeable
 
     def test_nonpositive_c1_rejected(self):
         with pytest.raises(InvalidInputError):
-            DualProblem(gram=[[1.0]], margins=[1.0], labels=[1], c1=0.0)
-
-    def test_indefinite_gram_rejected_by_solver(self):
-        prob = DualProblem(gram=[[1.0, 0.0], [0.0, -1.0]], margins=[1, 1], labels=[1, 1], c1=1.0)
-        with pytest.raises(NumericalInputError):
-            solve_box_qp(prob)
+            DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=0.0)
 
 
 class TestSolveBoxQP:
     def test_scalar_clamped_to_upper_bound(self):
         # unconstrained max at beta = 1, box is [0, 1]
-        prob = DualProblem(gram=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+        prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
         state = solve_box_qp(prob)
         assert state.beta.tolist() == [1.0]
         assert state.converged
 
     def test_scalar_negative_margin_stays_at_zero(self):
-        prob = DualProblem(gram=[[2.0]], margins=[-0.5], labels=[-1], c1=0.7)
+        prob = DualProblem(features=[[1.0, 1.0]], margins=[-0.5], labels=[-1], c1=0.7)
         state = solve_box_qp(prob)
         assert state.beta.tolist() == [0.0]
 
@@ -161,7 +168,7 @@ class TestSolveBoxQP:
     def test_zero_diagonal_linear_coordinate(self):
         # K = 0 makes the objective linear: positive margin pins beta at the
         # upper bound, negative at zero
-        prob = DualProblem(gram=np.zeros((2, 2)), margins=[0.5, -0.5], labels=[1, 1], c1=1.0)
+        prob = DualProblem(features=np.zeros((2, 1)), margins=[0.5, -0.5], labels=[1, 1], c1=1.0)
         state = solve_box_qp(prob)
         assert state.beta.tolist() == [0.5, 0.0]
         assert state.converged
@@ -176,7 +183,7 @@ class TestSolveBoxQP:
 
 class TestKKTResidual:
     def test_zero_at_scalar_optimum(self):
-        prob = DualProblem(gram=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+        prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
         state = solve_box_qp(prob)
         assert kkt_residual(state.beta, prob) <= 1e-9
 
@@ -184,7 +191,7 @@ class TestKKTResidual:
         rng = np.random.default_rng(8)
         margins = rng.uniform(0.1, 2.0, size=4)
         prob = DualProblem(
-            gram=np.eye(4) * 0.01, margins=margins, labels=[1, -1, 1, -1], c1=1.0
+            features=np.eye(4) * 0.1, margins=margins, labels=[1, -1, 1, -1], c1=1.0
         )
         # optimum is strictly positive everywhere, so beta = 0 is suboptimal
         # and the projected gradient there is exactly the margin vector
