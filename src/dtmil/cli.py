@@ -194,7 +194,7 @@ def _cmd_sweep(args) -> int:
     def on_fit(c1, c2, fold, rep):
         _print_fit_report(f"c1={c1} c2={c2} fold {fold}", rep, rounds=False)
 
-    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds, args.seed, on_fit=on_fit)
+    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds, on_fit=on_fit)
     write_text_atomic(args.out, sweep_rows_to_csv(rows))
     _log(f"swept {len(c1_grid)}x{len(c2_grid)} grid over {args.folds} folds -> {args.out}")
     return 0
@@ -293,9 +293,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        _log(f"error: {exc}")
-        return 1
     except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
         _log(f"error: {exc}")
         return 1

@@ -24,26 +24,16 @@ from .errors import InvalidInputError
 VALID_LABELS = (1, -1)
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be a 2-D array, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
+def _frozen(values, name: str, ndim: int) -> np.ndarray:
+    # the one input rule for float arrays: a nonempty, finite ndim-D copy,
+    # frozen so that the caller's own array stays writable
+    arr = np.array(values, dtype=np.float64, order="C")
+    if arr.ndim != ndim:
+        raise InvalidInputError(f"{name} must be a {ndim}-D array, got ndim={arr.ndim}")
+    if arr.size == 0:
         raise InvalidInputError(f"{name} must be nonempty, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    arr = np.ascontiguousarray(arr)
-    arr.setflags(write=False)
-    return arr
-
-
-def _as_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be a 1-D array, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
 
@@ -77,7 +67,7 @@ class Bag:
     label: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", _as_matrix(self.instances, f"bag {self.id!r} instances"))
+        object.__setattr__(self, "instances", _frozen(self.instances, f"bag {self.id!r} instances", 2))
         if self.label is not None and self.label not in VALID_LABELS:
             raise InvalidInputError(f"bag {self.id!r} label must be +1 or -1, got {self.label!r}")
 
@@ -97,7 +87,7 @@ class Dictionary:
     codewords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "codewords", _as_matrix(self.codewords, "dictionary codewords"))
+        object.__setattr__(self, "codewords", _frozen(self.codewords, "dictionary codewords", 2))
 
     @property
     def size(self) -> int:
@@ -152,7 +142,7 @@ class SourceModel:
     v: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "v", _as_vector(self.v, "source classifier v"))
+        object.__setattr__(self, "v", _frozen(self.v, "source classifier v", 1))
         if self.v.shape[0] != self.phi.size:
             raise InvalidInputError(
                 f"classifier length {self.v.shape[0]} != dictionary size {self.phi.size}"
@@ -174,7 +164,7 @@ class AdaptedModel:
     hyper: Hyperparams
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _as_vector(self.w, "adaptation weights w"))
+        object.__setattr__(self, "w", _frozen(self.w, "adaptation weights w", 1))
         if self.w.shape[0] != self.psi.size:
             raise InvalidInputError(
                 f"adaptation weight length {self.w.shape[0]} != dictionary size {self.psi.size}"
@@ -183,10 +173,6 @@ class AdaptedModel:
             raise InvalidInputError(
                 f"transfer dictionary dimension {self.psi.dim} != source dimension {self.source.phi.dim}"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.source.dim
 
 
 def _segment_max_dots(instances: np.ndarray, starts: np.ndarray, codewords: np.ndarray) -> np.ndarray:

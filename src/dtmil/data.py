@@ -299,12 +299,8 @@ class SynthConfig:
         unknown = set(raw) - known
         if unknown:
             raise InvalidInputError(f"unknown synthetic config keys: {sorted(unknown)}")
-        values = dict(raw)
-        if "instances_per_bag" in values:
-            values["instances_per_bag"] = tuple(values["instances_per_bag"])
-        if "shift_translation" in values and isinstance(values["shift_translation"], list):
-            values["shift_translation"] = tuple(values["shift_translation"])
-        return cls(**values)
+        # the dataclass checks the values and accepts lists for its vector fields
+        return cls(**raw)
 
 
 def _rotation_matrix(d: int, degrees: float) -> np.ndarray:

@@ -37,10 +37,6 @@ class FoldSplit:
 
     k: int
     assignments: dict[str, int]
-    seed: int
-
-    def members(self, fold: int) -> set[str]:
-        return {bag_id for bag_id, f in self.assignments.items() if f == fold}
 
     def partition(self, bags: list[Bag], fold: int) -> tuple[list[Bag], list[Bag]]:
         """(bags in ``fold``, bags in every other fold), in input order."""
@@ -57,7 +53,6 @@ class ProtocolReport:
     mean_accuracy: float
     per_fold_seconds: list[float]
     baseline_accuracies: dict[str, float]
-    hyper: Hyperparams
 
 
 def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
@@ -87,7 +82,7 @@ def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
         for bag_id in group:
             assignments[bag_id] = position % k
             position += 1
-    return FoldSplit(k=k, assignments=assignments, seed=seed)
+    return FoldSplit(k=k, assignments=assignments)
 
 
 def accuracy(model: AdaptedModel | SourceModel, bags: list[Bag]) -> float:
@@ -171,7 +166,6 @@ def run_protocol(
             "source_only": float(np.mean([r[1] for r in results])),
             "target_only": float(np.mean([r[2] for r in results])),
         },
-        hyper=hyper,
     )
 
 
@@ -182,24 +176,24 @@ def sweep(
     c1_grid: list[float],
     c2_grid: list[float],
     k: int,
-    seed: int,
     on_fit=None,
 ) -> list[dict]:
     """Run the protocol over a (c1, c2) grid; one row per (c1, c2, fold).
 
     The source model is trained once from ``base_hyper`` and shared across
-    all grid cells, so the sweep varies only the adaptation regularizers.
+    all grid cells, so the sweep varies only the adaptation regularizers;
+    every cell takes its seed from ``base_hyper.seed``.
     ``on_fit(c1, c2, fold, FitReport)`` is invoked after each fold's fit.
     """
     if not c1_grid or not c2_grid:
         raise InvalidInputError("c1 and c2 grids must be nonempty")
     shared_model = train_source(
-        source, base_hyper.kappa, base_hyper.c1, derive_seed(seed, _SEED_SOURCE)
+        source, base_hyper.kappa, base_hyper.c1, derive_seed(base_hyper.seed, _SEED_SOURCE)
     )
     rows: list[dict] = []
     for c1 in c1_grid:
         for c2 in c2_grid:
-            hyper = replace(base_hyper, c1=c1, c2=c2, seed=seed)
+            hyper = replace(base_hyper, c1=c1, c2=c2)
             # run_protocol calls it before this cell ends, so c1 and c2 are current
             cell_on_fit = None if on_fit is None else (lambda fold, rep: on_fit(c1, c2, fold, rep))
             report = run_protocol(source, target, hyper, k, shared_model, on_fit=cell_on_fit)

@@ -19,6 +19,7 @@ a stationary point of the descent, so zero initialization is rejected).
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .core import (
 from .errors import DegenerateInputError, InvalidInputError
 from .qp import DualProblem, DualState, dual_value, recover_w, solve_box_qp
 
-DEFAULT_CODEWORD_NORM_CAP = 10.0
+CODEWORD_NORM_CAP = 10.0
 
 
 @dataclass
@@ -95,16 +96,15 @@ def update_codeword(
     beta,
     labels,
     hyper: Hyperparams,
-    norm_cap: float = DEFAULT_CODEWORD_NORM_CAP,
 ) -> np.ndarray:
     """Run ``hyper.inner_iters`` descent steps on one codeword over ``batch``.
 
     Each step recomputes the per-bag argmax assignments for the current
     codeword, rebuilds the rank-one factor u = sum_i beta_i y_i x_i[argmax_i],
     and steps against the gradient with step size ``hyper.eta``.  The
-    codeword norm is clipped to ``norm_cap`` after every step: the objective
-    is unbounded below along u whenever ||u||^2 > c1 * c2, and the cap keeps
-    iterates finite there.
+    codeword norm is clipped to ``CODEWORD_NORM_CAP`` after every step: the
+    objective is unbounded below along u whenever ||u||^2 > c1 * c2, and the
+    cap keeps iterates finite there.
     """
     psi = np.array(psi_init, dtype=np.float64)
     if psi.ndim != 1:
@@ -130,8 +130,8 @@ def update_codeword(
         u = signed @ batch.instances[batch.starts + assignment]
         psi = psi - hyper.eta * codeword_gradient(psi, u, hyper.c1, hyper.c2)
         norm = float(np.linalg.norm(psi))
-        if norm > norm_cap:
-            psi *= norm_cap / norm
+        if norm > CODEWORD_NORM_CAP:
+            psi *= CODEWORD_NORM_CAP / norm
     return psi
 
 
@@ -255,7 +255,8 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
 
     The dictionary comes from sampled unit-norm instances; the classifier
     solves the same box-constrained dual as the adaptation step with all
-    source scores at zero, then recovers its weights in closed form.
+    source scores at zero, then recovers its weights in closed form.  A
+    solve that stops at its sweep cap issues a ``RuntimeWarning``.
     """
     labels = _check_labeled(source_data, "source training set")
     if not (np.isfinite(c) and c > 0):
@@ -267,5 +268,13 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
     z = batch.embed(phi)
     prob = DualProblem(features=z, margins=np.ones(len(source_data)), labels=labels, c1=c)
     state = solve_box_qp(prob)
+    if not state.converged:
+        # a SourceModel carries no report, so the warning is the only channel
+        warnings.warn(
+            f"source training: dual solve stopped at its sweep cap after {state.iterations} sweeps "
+            "without converging",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     v = recover_w(state.beta, prob)
     return SourceModel(phi=phi, v=v)

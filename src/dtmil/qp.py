@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import VALID_LABELS, _frozen
 from .errors import InvalidInputError
 
 BOX_FEASIBILITY_TOL = 1e-9
@@ -50,26 +51,21 @@ class DualProblem:
     gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # copies, so that freezing them below leaves the caller's arrays writable
-        features = np.array(self.features, dtype=np.float64, order="C")
-        margins = np.array(self.margins, dtype=np.float64)
+        features = _frozen(self.features, "features", 2)
+        margins = _frozen(self.margins, "margins", 1)
         labels = np.asarray(self.labels)
-        if features.ndim != 2 or features.size == 0:
-            raise InvalidInputError(f"features must be a nonempty 2-D array, got shape {features.shape}")
         n = features.shape[0]
         if margins.shape != (n,) or labels.shape != (n,):
             raise InvalidInputError(
                 f"margins {margins.shape} and labels {labels.shape} must both have length {n}"
             )
-        if not (np.all(np.isfinite(features)) and np.all(np.isfinite(margins))):
-            raise InvalidInputError("features and margins must be finite")
         # numpy computes a @ a.T as a symmetric rank-k update: exactly symmetric
         with np.errstate(over="ignore"):
             gram = features @ features.T
         if not np.all(np.isfinite(gram)):
             raise InvalidInputError("gram matrix of the features overflows")
         # checked before the integer cast, which would truncate 1.7 to 1
-        if not np.all(np.isin(labels, (1, -1))):
+        if not np.all(np.isin(labels, VALID_LABELS)):
             raise InvalidInputError("labels must be +1 or -1")
         labels = labels.astype(np.int64)
         if not (np.isfinite(self.c1) and self.c1 > 0):
@@ -98,9 +94,7 @@ class DualState:
     converged: bool
 
     def __post_init__(self):
-        beta = np.ascontiguousarray(np.asarray(self.beta, dtype=np.float64))
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "beta", _frozen(self.beta, "beta", 1))
 
 
 def _checked_beta(beta, prob: DualProblem) -> np.ndarray:

@@ -307,7 +307,7 @@ def test_criterion_9_regularizer_sensitivity():
         grid = [0.1, 1.0, 10.0]
         source_bags, target_bags = generate_synthetic(SHIFT_CONFIG, seed=0)
         rows = sweep(
-            source_bags, target_bags, ACCEPT_HYPER, grid, grid, k=FOLDS, seed=0
+            source_bags, target_bags, ACCEPT_HYPER, grid, grid, k=FOLDS
         )
         csv_lines = sweep_rows_to_csv(rows).splitlines()
         assert len(csv_lines) == 1 + 9 * FOLDS  # header + 9k data rows

@@ -6,7 +6,16 @@ from dataclasses import fields
 
 import pytest
 
-from dtmil import Bag, Hyperparams, SynthConfig, generate_synthetic, save_dataset
+from dtmil import (
+    Bag,
+    Hyperparams,
+    SynthConfig,
+    embed_bag,
+    generate_synthetic,
+    load_adapted_model,
+    load_dataset,
+    save_dataset,
+)
 from dtmil.cli import _build_parser, _hyper_from_args, main
 
 
@@ -97,6 +106,16 @@ class TestValidationErrors:
         assert "runtime error: RuntimeError: boom" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_scalar_instances_per_bag_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "scalar.json"
+        config.write_text(json.dumps({"instances_per_bag": 5}))
+        src, tgt = str(tmp_path / "s.jsonl"), str(tmp_path / "t.jsonl")
+        code = run(["synth", "--config", str(config), "--out-source", src, "--out-target", tgt])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "instances_per_bag" in err and "runtime error" not in err
+        assert not os.path.exists(src) and not os.path.exists(tgt)
+
     def test_missing_input_file_exits_1(self, tmp_path):
         code = run(["train-source", "--data", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "m.json")])
@@ -132,6 +151,21 @@ class TestPipeline:
         )
         model = str(tmp_path / "model.json")
         assert run(["train-source", "--data", data, "--out", model]) == 0
+        assert os.path.exists(model)
+
+    def test_train_source_warns_on_capped_solve(self, workdir, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        tmp_path, config = workdir
+        src, _ = synth(tmp_path, config)
+        model = str(tmp_path / "m.json")
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
         assert os.path.exists(model)
 
     def test_adapt_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
@@ -184,6 +218,21 @@ class TestPipeline:
         lines = [json.loads(line) for line in open(out)]
         assert len(lines) == 16
         assert all(len(row["features"]) == 4 for row in lines)
+
+    def test_embed_psi_writes_transfer_features(self, workdir):
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model = str(tmp_path / "m.json")
+        adapted = str(tmp_path / "a.json")
+        assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
+        assert run(["adapt", "--source-model", model, "--target-train", tgt, "--kappa", "3",
+                    "--inner-iters", "2", "--max-outer", "2", "--out", adapted]) == 0
+        out = str(tmp_path / "features.jsonl")
+        assert run(["embed", "--model", adapted, "--data", tgt, "--dict", "psi",
+                    "--out", out]) == 0
+        psi = load_adapted_model(adapted).psi
+        expected = [{"id": b.id, "features": embed_bag(b, psi).tolist()} for b in load_dataset(tgt)]
+        assert [json.loads(line) for line in open(out)] == expected
 
     def test_embed_psi_needs_adapted_model(self, workdir):
         tmp_path, config = workdir

@@ -43,6 +43,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             b.instances[0, 0] = 5.0
 
+    def test_constructors_leave_caller_arrays_writable(self):
+        instances, codewords, v, w = np.ones((2, 2)), np.eye(2), np.ones(2), np.ones(2)
+        Bag(id="a", instances=instances)
+        phi = Dictionary(codewords=codewords)
+        source = SourceModel(phi=phi, v=v)
+        AdaptedModel(source=source, psi=phi, w=w, hyper=Hyperparams())
+        for arr in (instances, codewords, v, w):
+            assert arr.flags.writeable
+            arr[0] = 5.0
+        assert np.array_equal(phi.codewords, np.eye(2)) and np.array_equal(source.v, np.ones(2))
+
     def test_dictionary_dimensions(self):
         d = Dictionary(codewords=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         assert d.size == 3 and d.dim == 2

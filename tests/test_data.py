@@ -23,7 +23,17 @@ from dtmil import (
     save_model,
     score_target,
 )
-from dtmil.data import SynthConfig
+from dtmil.data import SynthConfig, write_text_atomic
+
+
+class TestWriteTextAtomic:
+    def test_directory_target_raises_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(OSError):
+            write_text_atomic(str(target), "text\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
 
 
 class TestDatasetIO:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,25 +179,22 @@ class TestRunProtocol:
 class TestSweep:
     def test_row_count_and_order(self):
         source, target = small_problem(seed=7)
-        rows = sweep(source, target, FAST, [0.5, 1.0], [0.1, 1.0], k=3, seed=0)
+        rows = sweep(source, target, replace(FAST, seed=0), [0.5, 1.0], [0.1, 1.0], k=3)
         assert len(rows) == 2 * 2 * 3
         assert [row["fold"] for row in rows[:3]] == [0, 1, 2]
         assert rows[0]["c1"] == 0.5 and rows[-1]["c1"] == 1.0
 
     def test_single_cell_matches_direct_protocol(self):
-        from dataclasses import replace
-
         source, target = small_problem(seed=8)
-        seed = 5
-        rows = sweep(source, target, FAST, [FAST.c1], [FAST.c2], k=3, seed=seed)
-        hyper = replace(FAST, seed=seed)
+        hyper = replace(FAST, seed=5)
+        rows = sweep(source, target, hyper, [FAST.c1], [FAST.c2], k=3)
         report = run_protocol(source, target, hyper, k=3)
         assert [row["accuracy"] for row in rows] == report.per_fold_accuracy
 
     def test_empty_grid_rejected(self):
         source, target = small_problem(seed=9)
         with pytest.raises(InvalidInputError):
-            sweep(source, target, FAST, [], [1.0], k=3, seed=0)
+            sweep(source, target, replace(FAST, seed=0), [], [1.0], k=3)
 
     def test_csv_format(self):
         rows = [

@@ -369,6 +369,23 @@ class TestFitDTC:
             [score_source(b, source) for b in train]), labels=labels, c1=model.hyper.c1)
         assert kkt_residual(report.final_beta, prob) == 0.0
 
+    def test_codewords_zeroed_in_round_one_stay_zero(self):
+        # with every source margin met beta stays 0, so u = 0 and a step with
+        # eta * c2 = 1 sends each codeword exactly to 0; round 2 must leave
+        # the zero codewords in place rather than descend from them
+        source = SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[2.0])
+        train = [
+            bag([1.0, 0.3], label=1, bag_id="p1"),
+            bag([0.8, -0.2], label=1, bag_id="p2"),
+            bag([-1.0, 0.1], label=-1, bag_id="n1"),
+            bag([-0.9, 0.4], label=-1, bag_id="n2"),
+        ]
+        hyper = Hyperparams(kappa=2, c2=1.0, eta=1.0, inner_iters=1, max_outer=3)
+        model, report = fit_dtc(train, source, hyper)
+        assert report.outer_iterations == 2 and report.converged
+        assert np.array_equal(model.psi.codewords, np.zeros((2, 2)))
+        assert np.array_equal(model.w, np.zeros(2))
+
     def test_weak_duality_on_tiny_problem(self):
         rng = np.random.default_rng(6)
         cfg = SynthConfig(d=2, bags_per_class_source=4, bags_per_class_target=4,
@@ -525,6 +542,18 @@ class TestTrainSource:
             for b in source_bags
         )
         assert agree / len(source_bags) >= 0.95
+
+    def test_capped_solve_warns(self, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        source_bags, _ = generate_synthetic(SynthConfig(), seed=0)
+        with pytest.warns(RuntimeWarning, match="sweep cap after 1 sweeps"):
+            train_source(source_bags, iota=10, c=1.0, seed=0)
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
