@@ -37,7 +37,6 @@ from .errors import (
     ModelFormatError,
 )
 from .evaluate import (
-    FoldSplit,
     ProtocolReport,
     accuracy,
     run_protocol,
@@ -53,7 +52,7 @@ from .learn import (
     train_source,
     update_codeword,
 )
-from .qp import DualProblem, DualState, dual_value, kkt_residual, recover_w, solve_box_qp
+from .qp import DualProblem, dual_value, kkt_residual, recover_w, solve_box_qp
 
 __all__ = [
     "AdaptedModel",
@@ -63,9 +62,7 @@ __all__ = [
     "DegenerateInputError",
     "Dictionary",
     "DualProblem",
-    "DualState",
     "FitReport",
-    "FoldSplit",
     "Hyperparams",
     "InvalidInputError",
     "ModelFormatError",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,7 +133,9 @@ def run_protocol(
     same test bags.  ``source_model`` defaults to one trained on the full
     source set with ``hyper.kappa`` words and regularizer ``hyper.c1``.
 
-    ``on_fit(fold, FitReport)`` is invoked after each fold's fit.
+    ``on_fit(fold, FitReport)`` is invoked after each fold's fit and
+    target-only baseline; the report's warnings include any warning the
+    baseline's training issued, prefixed "target-only baseline".
     """
     split = split_folds(target, k, hyper.seed)
     if source_model is None:
@@ -146,13 +149,18 @@ def run_protocol(
         train, test = (outside, inside) if conventional else (inside, outside)
         fold_hyper = replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold))
         model, report = fit_dtc(train, source_model, fold_hyper)
+        # recorded rather than shown, so every fold's capped baseline reaches
+        # its own report instead of one line per call site and process
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            target_acc = _target_only_accuracy(
+                train, test, hyper, derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
+            )
+        report.warnings.extend(f"target-only baseline: {w.message}" for w in caught)
         if on_fit is not None:
             on_fit(fold, report)
         adapted_acc = accuracy(model, test)
         source_acc = accuracy(source_model, test)
-        target_acc = _target_only_accuracy(
-            train, test, hyper, derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
-        )
         return adapted_acc, source_acc, target_acc, time.perf_counter() - started
 
     results = [run_fold(fold) for fold in range(split.k)]

@@ -8,6 +8,7 @@ seeds, so their outcomes are deterministic.
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -356,7 +357,7 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                              "--folds", "5", "--kappa", "5", "--inner-iters", "4",
                              "--max-outer", "3", "--eta", "0.02", "--tol", "1e-3",
                              "--seed", "11", "--out", report]) == 0
-            reports.append(open(report, "rb").read())
+            reports.append(Path(report).read_bytes())
         assert reports[0] == reports[1]
         doc = json.loads(reports[0])
         assert len(doc["per_fold_accuracy"]) == 5

@@ -3,6 +3,7 @@
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -54,8 +55,8 @@ class TestSynth:
         tmp_path, config = workdir
         s1, t1 = synth(tmp_path, config, "one")
         s2, t2 = synth(tmp_path, config, "two")
-        assert open(s1, "rb").read() == open(s2, "rb").read()
-        assert open(t1, "rb").read() == open(t2, "rb").read()
+        assert Path(s1).read_bytes() == Path(s2).read_bytes()
+        assert Path(t1).read_bytes() == Path(t2).read_bytes()
 
     def test_default_config(self, tmp_path):
         code = run(["synth", "--seed", "1",
@@ -137,7 +138,7 @@ class TestPipeline:
 
         report = str(tmp_path / "report.json")
         assert run(["eval", "--model", adapted, "--data", tgt, "--out", report]) == 0
-        doc = json.loads(open(report).read())
+        doc = json.loads(Path(report).read_text())
         assert set(doc) == {"accuracy", "n"}
         assert 0.0 <= doc["accuracy"] <= 1.0
         assert doc["n"] == 16
@@ -179,7 +180,8 @@ class TestPipeline:
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         model = str(tmp_path / "m.json")
-        assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
         args = ["adapt", "--source-model", model, "--target-train", tgt,
                 "--kappa", "3", "--inner-iters", "2", "--max-outer", "2"]
         quiet = str(tmp_path / "quiet.json")
@@ -191,7 +193,7 @@ class TestPipeline:
         assert "outer 1: dual" not in captured.err  # round values stay behind --verbose
         assert captured.out == ""
         assert run(args + ["--out", loud, "--verbose"]) == 0
-        assert open(quiet, "rb").read() == open(loud, "rb").read()
+        assert Path(quiet).read_bytes() == Path(loud).read_bytes()
 
     def test_adapt_rejects_adapted_model_as_source(self, workdir):
         tmp_path, config = workdir
@@ -215,7 +217,7 @@ class TestPipeline:
         out = str(tmp_path / "features.jsonl")
         assert run(["embed", "--model", model, "--data", tgt, "--dict", "phi",
                     "--out", out]) == 0
-        lines = [json.loads(line) for line in open(out)]
+        lines = [json.loads(line) for line in Path(out).read_text().splitlines()]
         assert len(lines) == 16
         assert all(len(row["features"]) == 4 for row in lines)
 
@@ -232,7 +234,7 @@ class TestPipeline:
                     "--out", out]) == 0
         psi = load_adapted_model(adapted).psi
         expected = [{"id": b.id, "features": embed_bag(b, psi).tolist()} for b in load_dataset(tgt)]
-        assert [json.loads(line) for line in open(out)] == expected
+        assert [json.loads(line) for line in Path(out).read_text().splitlines()] == expected
 
     def test_embed_psi_needs_adapted_model(self, workdir):
         tmp_path, config = workdir
@@ -254,8 +256,8 @@ class TestProtocolCommand:
         r2 = str(tmp_path / "report2.json")
         assert run(args + ["--out", r1]) == 0
         assert run(args + ["--out", r2]) == 0
-        assert open(r1, "rb").read() == open(r2, "rb").read()
-        doc = json.loads(open(r1).read())
+        assert Path(r1).read_bytes() == Path(r2).read_bytes()
+        doc = json.loads(Path(r1).read_text())
         assert len(doc["per_fold_accuracy"]) == 4
         assert "source_only" in doc["baselines"] and "target_only" in doc["baselines"]
 
@@ -272,7 +274,7 @@ class TestProtocolCommand:
         captured = capsys.readouterr()
         assert "dual" in captured.err
         assert captured.out == ""
-        assert open(quiet, "rb").read() == open(loud, "rb").read()
+        assert Path(quiet).read_bytes() == Path(loud).read_bytes()
 
     def test_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
         import dtmil.learn
@@ -289,13 +291,36 @@ class TestProtocolCommand:
         quiet = str(tmp_path / "q.json")
         loud = str(tmp_path / "l.json")
         capsys.readouterr()
-        assert run(args + ["--out", quiet]) == 0
+        # the shared source model's capped solve warns once per run
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            assert run(args + ["--out", quiet]) == 0
         captured = capsys.readouterr()
         assert "fold 0: warning: outer round 1: dual solve stopped at its sweep cap" in captured.err
         assert "outer 1: dual" not in captured.err  # round values stay behind --verbose
         assert captured.out == ""
-        assert run(args + ["--out", loud, "--verbose"]) == 0
-        assert open(quiet, "rb").read() == open(loud, "rb").read()
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            assert run(args + ["--out", loud, "--verbose"]) == 0
+        assert Path(quiet).read_bytes() == Path(loud).read_bytes()
+
+    def test_names_each_folds_capped_baseline(self, workdir, capsys, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            assert run(["protocol", "--source", src, "--target", tgt, "--folds", "3",
+                        "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
+                        "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
+        err = capsys.readouterr().err
+        for fold in range(3):
+            assert (f"fold {fold}: warning: target-only baseline: "
+                    "source training: dual solve stopped at its sweep cap") in err
 
 
 class TestSweepCommand:
@@ -307,7 +332,7 @@ class TestSweepCommand:
                     "--c1", "0.5,1", "--c2", "0.1,1", "--folds", "3",
                     "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
                     "--seed", "0", "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "c1,c2,fold,accuracy,seconds"
         assert len(lines) == 1 + 2 * 2 * 3
 
@@ -322,10 +347,11 @@ class TestSweepCommand:
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         capsys.readouterr()
-        assert run(["sweep", "--source", src, "--target", tgt,
-                    "--c1", "0.5", "--c2", "0.1", "--folds", "3",
-                    "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
-                    "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            assert run(["sweep", "--source", src, "--target", tgt,
+                        "--c1", "0.5", "--c2", "0.1", "--folds", "3",
+                        "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
+                        "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 0
         captured = capsys.readouterr()
         for fold in range(3):
             assert (f"c1=0.5 c2=0.1 fold {fold}: warning: outer round 1: "
@@ -383,6 +409,6 @@ class TestHyperFlags:
                     "--out", adapted] + tiny) == 0
         assert run(["protocol", "--source", src, "--target", tgt, "--folds", "2",
                     "--out", report] + tiny) == 0
-        model_keys = set(json.loads(open(adapted).read())["hyper"])
-        assert set(json.loads(open(report).read())["hyper"]) == model_keys
+        model_keys = set(json.loads(Path(adapted).read_text())["hyper"])
+        assert set(json.loads(Path(report).read_text())["hyper"]) == model_keys
         assert model_keys == {f.name for f in fields(Hyperparams)}

@@ -175,6 +175,25 @@ class TestRunProtocol:
         run_protocol(source, target, FAST, k=4, on_fit=lambda fold, rep: seen.append(fold))
         assert sorted(seen) == [0, 1, 2, 3]
 
+    def test_capped_baseline_is_reported_per_fold(self, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        source, target = small_problem(seed=7)
+        model = train_source(source, FAST.kappa, FAST.c1, seed=99)
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        reports = {}
+        run_protocol(source, target, FAST, k=4, source_model=model,
+                     on_fit=lambda fold, rep: reports.setdefault(fold, rep))
+        assert sorted(reports) == [0, 1, 2, 3]
+        for report in reports.values():
+            baseline = [w for w in report.warnings if w.startswith("target-only baseline: ")]
+            assert len(baseline) == 1
+            assert "dual solve stopped at its sweep cap after 1 sweeps" in baseline[0]
+
 
 class TestSweep:
     def test_row_count_and_order(self):

@@ -11,6 +11,7 @@ from dtmil import (
     kkt_residual,
     solve_box_qp,
 )
+from dtmil.qp import DEFAULT_MAX_SWEEPS, DEFAULT_SWEEP_TOL
 
 
 def random_problem(rng, n, features=4, c1=None):
@@ -179,6 +180,105 @@ class TestSolveBoxQP:
         state = solve_box_qp(prob, max_sweeps=1)
         assert state.iterations == 1
         assert not state.converged
+
+
+def _reference_solve(prob, init=None, max_sweeps=DEFAULT_MAX_SWEEPS):
+    """The coordinate-ascent loop written on numpy float64 scalars.
+
+    A verbatim copy of the solver's loop before its scalars moved to Python
+    floats; ``solve_box_qp`` must reproduce it bit for bit.
+    """
+    n = prob.n
+    ub = prob.box_upper
+    if init is None:
+        beta = np.zeros(n)
+    else:
+        beta = np.clip(np.asarray(init, dtype=np.float64), 0.0, ub)
+
+    gram = prob.gram
+    labels = prob.labels.astype(np.float64)
+    diag = np.diagonal(gram)
+    c1 = prob.c1
+    margins = prob.margins
+    s = gram @ (beta * labels)
+
+    sweeps = 0
+    converged = False
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for i in range(n):
+            grad_i = margins[i] - labels[i] * s[i] / c1
+            if diag[i] > 0.0:
+                target = beta[i] + c1 * grad_i / diag[i]
+                new = ub if target > ub else (0.0 if target < 0.0 else target)
+            else:
+                new = ub if grad_i > 0.0 else 0.0
+            delta = new - beta[i]
+            if delta != 0.0:
+                beta[i] = new
+                s += gram[i] * (labels[i] * delta)
+                if abs(delta) > max_delta:
+                    max_delta = abs(delta)
+        sweeps += 1
+        if max_delta < DEFAULT_SWEEP_TOL:
+            converged = True
+            break
+
+    return beta, dual_value(beta, prob), sweeps, converged
+
+
+class TestBitIdenticalToNumpyLoop:
+    """``solve_box_qp`` against ``_reference_solve``: exact equality, no
+    tolerance, so any reordered or rewritten arithmetic fails here."""
+
+    @staticmethod
+    def _problem(seed, n, zero_rows):
+        rng = np.random.default_rng(seed)
+        # features scaled by sqrt(n) keep the coordinate steps on the scale
+        # of the box, so solves take tens of sweeps and end with free
+        # coordinates as well as coordinates on both bounds
+        features = rng.normal(size=(n, 4)) * np.sqrt(n)
+        if zero_rows:
+            features[rng.permutation(n)[: max(1, n // 3)]] = 0.0
+        return rng, DualProblem(
+            features=features,
+            margins=rng.uniform(-1.0, 2.0, size=n),
+            labels=rng.choice([1, -1], size=n),
+            c1=float(rng.uniform(0.5, 2.0)),
+        )
+
+    @staticmethod
+    def _warm_start(rng, n):
+        init = rng.uniform(0.0, 1.0 / n, size=n)
+        init[rng.permutation(n)[: max(1, n // 4)]] = 0.0
+        if n > 1:
+            init[rng.permutation(n)[: max(1, n // 4)]] = 1.0 / n
+        return init
+
+    @pytest.mark.parametrize("max_sweeps", [1, 3, DEFAULT_MAX_SWEEPS])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("zero_rows", [False, True], ids=["dense", "zero_rows"])
+    @pytest.mark.parametrize("n", [1, 2, 17, 150])
+    def test_matches_numpy_scalar_loop(self, n, zero_rows, warm, max_sweeps):
+        rng, prob = self._problem(1000 + n, n, zero_rows)
+        init = self._warm_start(rng, n) if warm else None
+        state = solve_box_qp(prob, init=init, max_sweeps=max_sweeps)
+        beta, objective, sweeps, converged = _reference_solve(prob, init, max_sweeps)
+        assert np.array_equal(state.beta, beta)
+        assert state.objective == objective
+        assert state.iterations == sweeps
+        assert state.converged == converged
+
+    def test_cases_reach_both_bounds_and_the_interior(self):
+        # the exact comparison above only means something if the oracle's
+        # iterates use every branch: both clamps and free coordinates
+        _, prob = self._problem(1150, 150, zero_rows=True)
+        beta, _, sweeps, _ = _reference_solve(prob)
+        ub = prob.box_upper
+        assert np.any(beta == 0.0) and np.any(beta == ub)
+        assert np.any((beta > 0.0) & (beta < ub))
+        assert np.any(np.diagonal(prob.gram) == 0.0)
+        assert sweeps > 10
 
 
 class TestKKTResidual:
