@@ -6,10 +6,11 @@ is the maximum dot product between codeword k and the bag's instances.  A
 source-domain model scores a bag linearly in that feature space; an adapted
 model adds a correction term computed against a second, transfer dictionary.
 
-A ``BagBatch`` stacks a list of bags once so that embedding and argmax
-assignment run over all of them in one pass.  Everything in this module is
-stateless and immutable after construction; all functions may be called
-concurrently without coordination.
+A ``BagBatch`` stacks a list of bags once so that embedding, scoring and
+argmax assignment run over all of them in one pass; it is the only way from
+a bag list to scores.  Everything in this module is stateless and immutable
+after construction; all functions may be called concurrently without
+coordination.
 """
 
 from __future__ import annotations
@@ -36,6 +37,18 @@ def _frozen(values, name: str, ndim: int) -> np.ndarray:
         raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _check_labeled(bags: list[Bag], what: str) -> np.ndarray:
+    # the one "nonempty and labeled" rule; returns the labels as ints
+    if not bags:
+        raise InvalidInputError(f"{what} is empty")
+    labels = []
+    for bag in bags:
+        if bag.label is None:
+            raise InvalidInputError(f"bag {bag.id!r} in {what} is unlabeled")
+        labels.append(bag.label)
+    return np.asarray(labels, dtype=np.int64)
 
 
 def _is_int(value) -> bool:
@@ -185,10 +198,6 @@ def _segment_max_dots(instances: np.ndarray, starts: np.ndarray, codewords: np.n
     return out
 
 
-_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
-_ONE_SEGMENT.setflags(write=False)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class BagBatch:
     """A list of bags with their instances stacked once.
@@ -224,8 +233,8 @@ class BagBatch:
         return self.instances.shape[1]
 
     def embed(self, dictionary: Dictionary) -> np.ndarray:
-        """Features of every bag, one row per bag; row i equals
-        ``embed_bag(bag_i, dictionary)`` bit for bit."""
+        """Features of every bag, one row per bag; a bag's row does not
+        depend on which other bags share the batch."""
         if self.dim != dictionary.dim:
             raise InvalidInputError(
                 f"bags have dimension {self.dim} but dictionary has dimension {dictionary.dim}"
@@ -256,28 +265,26 @@ def embed_bag(bag: Bag, dictionary: Dictionary) -> np.ndarray:
     Entry k is the maximum dot product between codeword k and the bag's
     instances; the result has length ``dictionary.size``.
     """
-    if bag.dim != dictionary.dim:
-        raise InvalidInputError(
-            f"bag {bag.id!r} has dimension {bag.dim} but dictionary has dimension {dictionary.dim}"
-        )
-    return _segment_max_dots(bag.instances, _ONE_SEGMENT, dictionary.codewords)[0]
+    return BagBatch([bag]).embed(dictionary)[0]
 
 
-def score_source(bag: Bag, model: SourceModel) -> float:
-    """Response of the source-domain classifier: v . z(bag, phi)."""
-    return float(model.v @ embed_bag(bag, model.phi))
+def score_source(batch: BagBatch, model: SourceModel) -> np.ndarray:
+    """Responses of the source-domain classifier, v . z(bag, phi), one per bag."""
+    return _instance_dots(batch.embed(model.phi), model.v)
 
 
-def score_target(bag: Bag, model: AdaptedModel) -> float:
-    """Response of the adapted classifier: source score plus w . z(bag, psi)."""
-    return score_source(bag, model.source) + float(model.w @ embed_bag(bag, model.psi))
+def score_target(batch: BagBatch, model: AdaptedModel) -> np.ndarray:
+    """Responses of the adapted classifier, one per bag: the source score
+    plus w . z(bag, psi)."""
+    return score_source(batch, model.source) + _instance_dots(batch.embed(model.psi), model.w)
 
 
-def predict(score: float) -> int:
-    """Binary decision from a real score; the tie at exactly 0 resolves to +1."""
-    if not math.isfinite(score):
-        raise InvalidInputError(f"score must be finite, got {score!r}")
-    return 1 if score >= 0 else -1
+def predict(scores) -> np.ndarray:
+    """Binary decisions from real scores; the tie at exactly 0 resolves to +1."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInputError("scores must be finite")
+    return np.where(scores >= 0, 1, -1)
 
 
 def _primal_from_cache(
@@ -304,12 +311,8 @@ def primal_objective(train: list[Bag], model: AdaptedModel) -> float:
     ``train`` plus (c1/2)||w||^2 plus (c2/2) * sum of squared codeword norms
     of psi.
     """
-    if not train:
-        raise InvalidInputError("training set is empty")
-    for bag in train:
-        if bag.label is None:
-            raise InvalidInputError(f"bag {bag.id!r} is unlabeled")
-    labels = np.array([bag.label for bag in train], dtype=np.float64)
-    source_scores = np.array([score_source(bag, model.source) for bag in train])
-    z = BagBatch(train).embed(model.psi)
+    labels = _check_labeled(train, "training set")
+    batch = BagBatch(train)
+    source_scores = score_source(batch, model.source)
+    z = batch.embed(model.psi)
     return _primal_from_cache(source_scores, z, model.w, labels, model.psi, model.hyper)

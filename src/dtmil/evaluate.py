@@ -17,7 +17,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import AdaptedModel, Bag, Hyperparams, SourceModel, predict, score_source, score_target
+from .core import (
+    AdaptedModel,
+    Bag,
+    BagBatch,
+    Hyperparams,
+    SourceModel,
+    _check_labeled,
+    predict,
+    score_source,
+    score_target,
+)
 from .errors import InvalidInputError
 from .learn import fit_dtc, train_source
 
@@ -48,12 +58,17 @@ class FoldSplit:
 
 @dataclass
 class ProtocolReport:
-    """Per-fold accuracies of the adapted model and both baselines."""
+    """Per-fold accuracies of the adapted model and both baselines.
+
+    ``warnings`` holds every fold's ``FitReport.warnings``, target-only
+    baseline included, each prefixed "fold F: ".
+    """
 
     per_fold_accuracy: list[float]
     mean_accuracy: float
     per_fold_seconds: list[float]
     baseline_accuracies: dict[str, float]
+    warnings: list[str]
 
 
 def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
@@ -70,9 +85,7 @@ def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
     ids = [bag.id for bag in bags]
     if len(set(ids)) != len(ids):
         raise InvalidInputError("bag ids must be unique to assign folds")
-    for bag in bags:
-        if bag.label is None:
-            raise InvalidInputError(f"bag {bag.id!r} is unlabeled; folds are stratified by label")
+    _check_labeled(bags, "stratified fold split")
 
     rng = np.random.default_rng(seed)
     assignments: dict[str, int] = {}
@@ -88,20 +101,14 @@ def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
 
 def accuracy(model: AdaptedModel | SourceModel, bags: list[Bag]) -> float:
     """Fraction of bags whose predicted label matches the true label."""
-    if not bags:
-        raise InvalidInputError("cannot compute accuracy on an empty bag list")
+    labels = _check_labeled(bags, "evaluation set")
     if isinstance(model, AdaptedModel):
-        score = lambda bag: score_target(bag, model)
+        score = score_target
     elif isinstance(model, SourceModel):
-        score = lambda bag: score_source(bag, model)
+        score = score_source
     else:
         raise InvalidInputError(f"unsupported model type {type(model).__name__}")
-    hits = 0
-    for bag in bags:
-        if bag.label is None:
-            raise InvalidInputError(f"bag {bag.id!r} is unlabeled")
-        hits += predict(score(bag)) == bag.label
-    return hits / len(bags)
+    return int(np.count_nonzero(predict(score(BagBatch(bags), model)) == labels)) / len(bags)
 
 
 def _target_only_accuracy(train: list[Bag], test: list[Bag], hyper: Hyperparams, seed: int) -> float:
@@ -135,7 +142,9 @@ def run_protocol(
 
     ``on_fit(fold, FitReport)`` is invoked after each fold's fit and
     target-only baseline; the report's warnings include any warning the
-    baseline's training issued, prefixed "target-only baseline".
+    baseline's training issued, prefixed "target-only baseline".  The
+    returned report gathers those warnings too, so no caller needs ``on_fit``
+    to see them.
     """
     split = split_folds(target, k, hyper.seed)
     if source_model is None:
@@ -143,7 +152,7 @@ def run_protocol(
             source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE)
         )
 
-    def run_fold(fold: int) -> tuple[float, float, float, float]:
+    def run_fold(fold: int) -> tuple[float, float, float, float, list[str]]:
         started = time.perf_counter()
         inside, outside = split.partition(target, fold)
         train, test = (outside, inside) if conventional else (inside, outside)
@@ -161,7 +170,7 @@ def run_protocol(
             on_fit(fold, report)
         adapted_acc = accuracy(model, test)
         source_acc = accuracy(source_model, test)
-        return adapted_acc, source_acc, target_acc, time.perf_counter() - started
+        return adapted_acc, source_acc, target_acc, time.perf_counter() - started, report.warnings
 
     results = [run_fold(fold) for fold in range(split.k)]
 
@@ -174,6 +183,7 @@ def run_protocol(
             "source_only": float(np.mean([r[1] for r in results])),
             "target_only": float(np.mean([r[2] for r in results])),
         },
+        warnings=[f"fold {fold}: {w}" for fold, r in enumerate(results) for w in r[4]],
     )
 
 

@@ -31,6 +31,7 @@ from .core import (
     Dictionary,
     Hyperparams,
     SourceModel,
+    _check_labeled,
     _primal_from_cache,
     score_source,
 )
@@ -62,17 +63,6 @@ class FitReport:
     final_dual_value: float = 0.0
     final_beta: np.ndarray = field(default_factory=lambda: np.zeros(0))
     warnings: list[str] = field(default_factory=list)
-
-
-def _check_labeled(bags: list[Bag], what: str) -> np.ndarray:
-    if not bags:
-        raise InvalidInputError(f"{what} is empty")
-    labels = []
-    for bag in bags:
-        if bag.label is None:
-            raise InvalidInputError(f"bag {bag.id!r} in {what} is unlabeled")
-        labels.append(bag.label)
-    return np.asarray(labels, dtype=np.int64)
 
 
 def codeword_objective(psi_k, u, c1: float, c2: float) -> float:
@@ -182,10 +172,6 @@ def fit_dtc(
     start = time.perf_counter()
     labels = _check_labeled(target_train, "target training set")
     batch = BagBatch(target_train)
-    if batch.dim != source.dim:
-        raise InvalidInputError(
-            f"target bags have dimension {batch.dim}, expected {source.dim}"
-        )
     report = FitReport()
     if len(set(labels.tolist())) < 2:
         report.warnings.append(
@@ -193,12 +179,11 @@ def fit_dtc(
             "fit proceeds but the adaptation may be one-sided"
         )
 
-    n = len(target_train)
-    source_scores = np.array([score_source(bag, source) for bag in target_train])
+    source_scores = score_source(batch, source)
     margins = 1.0 - labels * source_scores
 
     psi = init_dictionary(batch, hyper.kappa, hyper.seed)
-    beta = np.zeros(n)
+    beta = np.zeros(len(batch))
 
     converged = False
     for outer in range(hyper.max_outer):
@@ -256,7 +241,8 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
     The dictionary comes from sampled unit-norm instances; the classifier
     solves the same box-constrained dual as the adaptation step with all
     source scores at zero, then recovers its weights in closed form.  A
-    solve that stops at its sweep cap issues a ``RuntimeWarning``.
+    solve that stops at its sweep cap issues a ``RuntimeWarning`` naming
+    the seed and the bag count.
     """
     labels = _check_labeled(source_data, "source training set")
     if not (np.isfinite(c) and c > 0):
@@ -272,7 +258,7 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
         # a SourceModel carries no report, so the warning is the only channel
         warnings.warn(
             f"source training: dual solve stopped at its sweep cap after {state.iterations} sweeps "
-            "without converging",
+            f"without converging (seed {seed}, {len(source_data)} bags)",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -1,5 +1,7 @@
 """Tests for core types, embedding, bag batches, scoring and the primal objective."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,15 +184,15 @@ class TestBagBatch:
 class TestScoring:
     def test_zero_weights_score_zero(self):
         model = SourceModel(phi=Dictionary(codewords=[[1, 0], [0, 1]]), v=[0.0, 0.0])
-        assert score_source(bag([3.0, -2.0]), model) == 0.0
+        assert score_source(BagBatch([bag([3.0, -2.0])]), model)[0] == 0.0
 
     def test_single_word(self):
         model = SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[2.0])
-        assert score_source(bag([1.0, 0.0]), model) == 2.0
+        assert score_source(BagBatch([bag([1.0, 0.0])]), model)[0] == 2.0
 
     def test_opposing_weights_cancel(self):
         model = SourceModel(phi=Dictionary(codewords=[[1, 0], [0, 1]]), v=[1.0, -1.0])
-        assert score_source(bag([1.0, 0.0], [0.0, 1.0]), model) == 0.0
+        assert score_source(BagBatch([bag([1.0, 0.0], [0.0, 1.0])]), model)[0] == 0.0
 
     def test_target_equals_source_when_w_zero(self):
         source = SourceModel(phi=Dictionary(codewords=[[1, 0], [0, 1]]), v=[0.4, -1.2])
@@ -198,25 +200,49 @@ class TestScoring:
                                w=[0.0], hyper=Hyperparams())
         rng = np.random.default_rng(0)
         for _ in range(20):
-            b = Bag(id="r", instances=rng.normal(size=(rng.integers(1, 6), 2)))
-            assert score_target(b, adapted) == score_source(b, source)
+            b = BagBatch([Bag(id="r", instances=rng.normal(size=(rng.integers(1, 6), 2)))])
+            assert score_target(b, adapted)[0] == score_source(b, source)[0]
 
     def test_target_adds_adaptation_term(self):
         source = SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[1.0])
         adapted = AdaptedModel(source=source, psi=Dictionary(codewords=[[0.0, 1.0]]),
                                w=[2.0], hyper=Hyperparams())
         # f = 1, adaptation = 2 * 1
-        assert score_target(bag([1.0, 1.0]), adapted) == 3.0
+        assert score_target(BagBatch([bag([1.0, 1.0])]), adapted)[0] == 3.0
+
+    def test_scores_do_not_depend_on_the_batch(self):
+        # scores match an exactly rounded per-bag sum, and each bag gets the same
+        # bits alone, in the full batch and permuted
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            d, iota, kappa = (int(k) for k in rng.integers(1, [9, 41, 41]))
+            source = SourceModel(phi=Dictionary(codewords=rng.normal(size=(iota, d))),
+                                 v=rng.normal(size=iota))
+            adapted = AdaptedModel(source=source, psi=Dictionary(codewords=rng.normal(size=(kappa, d))),
+                                   w=rng.normal(size=kappa), hyper=Hyperparams())
+            bags = [Bag(id=f"b{i}", instances=rng.normal(size=(rng.integers(1, 9), d)))
+                    for i in range(50)]
+            perm = rng.permutation(len(bags))
+            reference = np.array([
+                math.fsum(source.v * embed_bag(b, source.phi)) for b in bags
+            ])
+            np.testing.assert_allclose(score_source(BagBatch(bags), source), reference,
+                                       rtol=0, atol=1e-12)
+            for score, model in ((score_source, source), (score_target, adapted)):
+                full = score(BagBatch(bags), model)
+                alone = np.array([score(BagBatch([b]), model)[0] for b in bags])
+                assert np.array_equal(alone, full)
+                assert np.array_equal(score(BagBatch([bags[i] for i in perm]), model), full[perm])
 
 
 class TestPredict:
     @pytest.mark.parametrize("score,label", [(0.3, 1), (-2.0, -1), (0.0, 1)])
     def test_sign_with_tie_break(self, score, label):
-        assert predict(score) == label
+        assert predict(np.array([score])).tolist() == [label]
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            predict(float("nan"))
+            predict(np.array([1.0, float("nan")]))
 
 
 def hinge_only_objective(score, label):

@@ -8,6 +8,7 @@ import pytest
 from dtmil import (
     AdaptedModel,
     Bag,
+    BagBatch,
     DatasetFormatError,
     Dictionary,
     Hyperparams,
@@ -153,8 +154,8 @@ class TestModelIO:
         loaded = load_adapted_model(str(path))
         assert loaded.hyper == model.hyper
         for _ in range(100):
-            b = Bag(id="r", instances=rng.normal(size=(int(rng.integers(1, 5)), 3)))
-            assert score_target(b, loaded) == score_target(b, model)
+            b = BagBatch([Bag(id="r", instances=rng.normal(size=(int(rng.integers(1, 5)), 3)))])
+            assert score_target(b, loaded)[0] == score_target(b, model)[0]
 
     def test_version_mismatch(self, tmp_path):
         rng = np.random.default_rng(3)

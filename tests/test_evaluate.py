@@ -9,6 +9,7 @@ import pytest
 
 from dtmil import (
     Bag,
+    BagBatch,
     Dictionary,
     Hyperparams,
     InvalidInputError,
@@ -103,7 +104,7 @@ class TestAccuracy:
         model = SourceModel(phi=Dictionary(codewords=rng.normal(size=(3, 2))), v=rng.normal(size=3))
         bags = labeled_bags(25, seed=8)
         expected = sum(
-            predict(score_source(b, model)) == b.label for b in bags
+            predict(score_source(BagBatch([b]), model))[0] == b.label for b in bags
         ) / len(bags)
         assert accuracy(model, bags) == expected
 
@@ -193,6 +194,31 @@ class TestRunProtocol:
             baseline = [w for w in report.warnings if w.startswith("target-only baseline: ")]
             assert len(baseline) == 1
             assert "dual solve stopped at its sweep cap after 1 sweeps" in baseline[0]
+
+    def test_warnings_reach_the_report_without_on_fit(self, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        source, target = small_problem(seed=7)
+        model = train_source(source, FAST.kappa, FAST.c1, seed=99)
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        report = run_protocol(source, target, FAST, k=4, source_model=model)
+        capped = "outer round 1: dual solve stopped at its sweep cap after 1 sweeps without converging"
+        for fold in range(4):
+            assert f"fold {fold}: {capped}" in report.warnings
+            assert any(w.startswith(f"fold {fold}: target-only baseline: source training: ")
+                       for w in report.warnings)
+
+    def test_report_warnings_are_the_folds_fit_warnings(self):
+        source, target = small_problem(seed=3)
+        reports = {}
+        report = run_protocol(source, target[:6], FAST, k=6,
+                              on_fit=lambda fold, rep: reports.setdefault(fold, rep))
+        expected = [f"fold {fold}: {w}" for fold in range(6) for w in reports[fold].warnings]
+        assert expected and report.warnings == expected
 
 
 class TestSweep:

@@ -1,6 +1,8 @@
 """Tests for instance assignment, codeword updates, weight recovery, the
 alternating fit, source training and dictionary initialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -356,17 +358,17 @@ class TestFitDTC:
             bag([-0.9, 0.4], label=-1, bag_id="n2"),
         ]
         for b in train:
-            assert b.label * score_source(b, source) >= 1.0
+            assert b.label * score_source(BagBatch([b]), source)[0] >= 1.0
         model, report = fit_dtc(train, source, Hyperparams(kappa=2, max_outer=4, inner_iters=3))
         assert np.array_equal(report.final_beta, np.zeros(4))
         assert np.array_equal(model.w, np.zeros(2))
         for b in train:
-            assert score_target(b, model) == score_source(b, source)
+            assert score_target(BagBatch([b]), model)[0] == score_source(BagBatch([b]), source)[0]
         # beta = 0 is optimal here, which the KKT residual confirms
         labels = np.array([b.label for b in train])
         z = np.vstack([embed_bag(b, model.psi) for b in train])
         prob = DualProblem(features=z, margins=1 - labels * np.array(
-            [score_source(b, source) for b in train]), labels=labels, c1=model.hyper.c1)
+            [score_source(BagBatch([b]), source)[0] for b in train]), labels=labels, c1=model.hyper.c1)
         assert kkt_residual(report.final_beta, prob) == 0.0
 
     def test_codewords_zeroed_in_round_one_stay_zero(self):
@@ -497,7 +499,7 @@ class TestFitDTC:
         labels = np.array([b.label for b in train])
         psi0 = init_dictionary(BagBatch(train), hyper.kappa, hyper.seed)
         z = np.vstack([embed_bag(b, psi0) for b in train])
-        f = np.array([score_source(b, source) for b in train])
+        f = np.array([score_source(BagBatch([b]), source)[0] for b in train])
         prob = DualProblem(features=z, margins=1 - labels * f, labels=labels, c1=hyper.c1)
         beta = solve_box_qp(prob).beta
         w = recover_w(beta, prob)
@@ -527,7 +529,7 @@ class TestTrainSource:
         # majority label is +1; the lone feature is identical on every bag,
         # so the decision is sign-consistent with the majority
         for b in bags:
-            assert predict(score_source(b, model)) == 1
+            assert predict(score_source(BagBatch([b]), model))[0] == 1
 
     def test_small_c_keeps_decisions_on_separable_data(self):
         cfg = SynthConfig(d=5, bags_per_class_source=25, bags_per_class_target=5,
@@ -538,7 +540,7 @@ class TestTrainSource:
         mild = train_source(source_bags, iota=10, c=1.0, seed=2)
         assert np.linalg.norm(strong.v) > np.linalg.norm(mild.v)
         agree = sum(
-            predict(score_source(b, strong)) == predict(score_source(b, mild))
+            predict(score_source(BagBatch([b]), strong))[0] == predict(score_source(BagBatch([b]), mild))[0]
             for b in source_bags
         )
         assert agree / len(source_bags) >= 0.95
@@ -554,6 +556,25 @@ class TestTrainSource:
         source_bags, _ = generate_synthetic(SynthConfig(), seed=0)
         with pytest.warns(RuntimeWarning, match="sweep cap after 1 sweeps"):
             train_source(source_bags, iota=10, c=1.0, seed=0)
+
+    def test_capped_warnings_name_seed_and_bag_count(self, monkeypatch):
+        # distinct texts, so the default filter does not fold repeated calls into one line
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        source_bags, _ = generate_synthetic(SynthConfig(), seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for seed in (0, 1, 2):
+                train_source(source_bags, iota=10, c=1.0, seed=seed)
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 3
+        for seed, message in zip((0, 1, 2), messages):
+            assert message.endswith(f"without converging (seed {seed}, {len(source_bags)} bags)")
 
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
