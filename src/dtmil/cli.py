@@ -151,9 +151,6 @@ def _cmd_protocol(args) -> int:
         conventional=args.conventional,
         on_fit=lambda fold, rep: _print_fit_report(f"fold {fold}", rep, rounds=args.verbose),
     )
-    if args.verbose:
-        for fold, seconds in enumerate(report.per_fold_seconds):
-            _log(f"fold {fold}: {seconds:.3f}s")
     # wall-clock timings stay out of the file so identical seeds produce
     # byte-identical reports
     doc = {
@@ -190,11 +187,10 @@ def _cmd_sweep(args) -> int:
     c2_grid = _parse_grid(args.c2_grid, "--c2")
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-
-    def on_fit(c1, c2, fold, rep):
-        _print_fit_report(f"c1={c1} c2={c2} fold {fold}", rep, rounds=False)
-
-    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds, on_fit=on_fit)
+    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds)
+    for row in rows:
+        for warning in row["warnings"]:
+            _log(f"c1={row['c1']} c2={row['c2']} fold {row['fold']}: warning: {warning}")
     write_text_atomic(args.out, sweep_rows_to_csv(rows))
     _log(f"swept {len(c1_grid)}x{len(c2_grid)} grid over {args.folds} folds -> {args.out}")
     return 0

@@ -161,10 +161,6 @@ class SourceModel:
                 f"classifier length {self.v.shape[0]} != dictionary size {self.phi.size}"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.phi.dim
-
 
 @dataclass(frozen=True)
 class AdaptedModel:

@@ -20,7 +20,16 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import AdaptedModel, Bag, Dictionary, Hyperparams, SourceModel, _is_int, _is_real
+from .core import (
+    AdaptedModel,
+    Bag,
+    Dictionary,
+    Hyperparams,
+    SourceModel,
+    _check_labeled,
+    _is_int,
+    _is_real,
+)
 from .errors import DatasetFormatError, InvalidInputError, ModelFormatError
 
 MODEL_FORMAT_VERSION = 1
@@ -44,6 +53,17 @@ def write_text_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def _json_reals(value, ndim: int) -> bool:
+    # core._is_real over a decoded JSON array of ndim <= 2 levels: json gives
+    # bool and str their own types, so the exact-type test is the same rule
+    rows = value if ndim == 2 else [value]
+    return (
+        isinstance(value, list)
+        and all(type(row) is list for row in rows)
+        and {type(x) for row in rows for x in row} <= {int, float}
+    )
 
 
 def _parse_label(raw, where: str) -> int:
@@ -87,15 +107,16 @@ def load_dataset(path: str) -> list[Bag]:
             instances = record["instances"]
             if not isinstance(instances, list) or not instances:
                 raise DatasetFormatError(f"{where}: bag {bag_id!r} has no instances")
-            widths = {len(row) if isinstance(row, list) else -1 for row in instances}
-            if -1 in widths or len(widths) != 1:
+            if not _json_reals(instances, 2):
                 raise DatasetFormatError(
-                    f"{where}: bag {bag_id!r} instances must be equal-length numeric rows"
+                    f"{where}: bag {bag_id!r} instances must be rows of JSON numbers"
                 )
             try:
                 bag = Bag(id=bag_id, label=label, instances=instances)
-            except (InvalidInputError, TypeError, ValueError) as exc:
-                raise DatasetFormatError(f"{where}: bag {bag_id!r}: {exc}") from exc
+            except InvalidInputError as exc:
+                raise DatasetFormatError(f"{where}: {exc}") from exc
+            except (ValueError, OverflowError) as exc:  # ragged rows, integers beyond float range
+                raise DatasetFormatError(f"{where}: bag {bag_id!r} instances: {exc}") from exc
             if dim is None:
                 dim = bag.dim
             elif bag.dim != dim:
@@ -112,20 +133,14 @@ def load_dataset(path: str) -> list[Bag]:
 
 def save_dataset(bags: list[Bag], path: str) -> None:
     """Write bags as JSON lines (labels required; ids must be unique)."""
-    if not bags:
-        raise InvalidInputError("refusing to write an empty dataset")
+    _check_labeled(bags, "dataset file")
     ids = [bag.id for bag in bags]
     if len(set(ids)) != len(ids):
         raise InvalidInputError("bag ids must be unique within a dataset file")
-    lines = []
-    for bag in bags:
-        if bag.label is None:
-            raise InvalidInputError(f"bag {bag.id!r} is unlabeled; dataset files carry labels")
-        lines.append(
-            json.dumps(
-                {"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()}
-            )
-        )
+    lines = [
+        json.dumps({"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()})
+        for bag in bags
+    ]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -185,9 +200,12 @@ def load_model(path: str) -> SourceModel | AdaptedModel:
         raise ModelFormatError(
             f"{path}: expected format_version {MODEL_FORMAT_VERSION}, found {version!r}"
         )
+    for key, ndim in (("phi", 2), ("v", 1), ("psi", 2), ("w", 1)):
+        if doc[key] is not None and not _json_reals(doc[key], ndim):
+            raise ModelFormatError(f"{path}: {key} must be a {ndim}-D array of JSON numbers")
     try:
         source = SourceModel(phi=Dictionary(codewords=doc["phi"]), v=doc["v"])
-    except (InvalidInputError, TypeError, ValueError) as exc:
+    except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: invalid source fields: {exc}") from exc
     adaptation = (doc["psi"], doc["w"], doc["hyper"])
     if all(part is None for part in adaptation):
@@ -201,7 +219,7 @@ def load_model(path: str) -> SourceModel | AdaptedModel:
         return AdaptedModel(
             source=source, psi=Dictionary(codewords=doc["psi"]), w=doc["w"], hyper=hyper
         )
-    except (InvalidInputError, TypeError, ValueError) as exc:
+    except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: invalid adaptation fields: {exc}") from exc
 
 

@@ -6,8 +6,8 @@ class InvalidInputError(ValueError):
 
 
 class DegenerateInputError(InvalidInputError):
-    """Data or initialization that would pin the algorithm at a fixed point
-    (all-zero codeword, all-zero instance pool)."""
+    """Data that would pin the algorithm at a fixed point: an instance pool
+    whose every instance is the zero vector, so no codeword could move."""
 
 
 class DatasetFormatError(InvalidInputError):

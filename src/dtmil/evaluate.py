@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import time
 import warnings
 from dataclasses import dataclass, replace
 
@@ -31,7 +30,7 @@ from .core import (
 from .errors import InvalidInputError
 from .learn import fit_dtc, train_source
 
-SWEEP_CSV_HEADER = ("c1", "c2", "fold", "accuracy", "seconds")
+SWEEP_CSV_HEADER = ("c1", "c2", "fold", "accuracy")
 
 # stream tags keeping derived seeds disjoint across uses
 _SEED_SOURCE, _SEED_FIT, _SEED_TARGET_ONLY = 0, 1, 2
@@ -60,15 +59,18 @@ class FoldSplit:
 class ProtocolReport:
     """Per-fold accuracies of the adapted model and both baselines.
 
-    ``warnings`` holds every fold's ``FitReport.warnings``, target-only
-    baseline included, each prefixed "fold F: ".
+    ``per_fold_warnings[F]`` is fold F's ``FitReport.warnings``, target-only
+    baseline included; ``warnings`` lists them all, each prefixed "fold F: ".
     """
 
     per_fold_accuracy: list[float]
     mean_accuracy: float
-    per_fold_seconds: list[float]
     baseline_accuracies: dict[str, float]
-    warnings: list[str]
+    per_fold_warnings: list[list[str]]
+
+    @property
+    def warnings(self) -> list[str]:
+        return [f"fold {fold}: {w}" for fold, ws in enumerate(self.per_fold_warnings) for w in ws]
 
 
 def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
@@ -152,8 +154,7 @@ def run_protocol(
             source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE)
         )
 
-    def run_fold(fold: int) -> tuple[float, float, float, float, list[str]]:
-        started = time.perf_counter()
+    def run_fold(fold: int) -> tuple[float, float, float, list[str]]:
         inside, outside = split.partition(target, fold)
         train, test = (outside, inside) if conventional else (inside, outside)
         fold_hyper = replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold))
@@ -170,7 +171,7 @@ def run_protocol(
             on_fit(fold, report)
         adapted_acc = accuracy(model, test)
         source_acc = accuracy(source_model, test)
-        return adapted_acc, source_acc, target_acc, time.perf_counter() - started, report.warnings
+        return adapted_acc, source_acc, target_acc, report.warnings
 
     results = [run_fold(fold) for fold in range(split.k)]
 
@@ -178,12 +179,11 @@ def run_protocol(
     return ProtocolReport(
         per_fold_accuracy=per_fold,
         mean_accuracy=float(np.mean(per_fold)),
-        per_fold_seconds=[r[3] for r in results],
         baseline_accuracies={
             "source_only": float(np.mean([r[1] for r in results])),
             "target_only": float(np.mean([r[2] for r in results])),
         },
-        warnings=[f"fold {fold}: {w}" for fold, r in enumerate(results) for w in r[4]],
+        per_fold_warnings=[r[3] for r in results],
     )
 
 
@@ -194,14 +194,13 @@ def sweep(
     c1_grid: list[float],
     c2_grid: list[float],
     k: int,
-    on_fit=None,
 ) -> list[dict]:
     """Run the protocol over a (c1, c2) grid; one row per (c1, c2, fold).
 
     The source model is trained once from ``base_hyper`` and shared across
     all grid cells, so the sweep varies only the adaptation regularizers;
-    every cell takes its seed from ``base_hyper.seed``.
-    ``on_fit(c1, c2, fold, FitReport)`` is invoked after each fold's fit.
+    every cell takes its seed from ``base_hyper.seed``.  A row's
+    ``warnings`` is that fold's entry of ``ProtocolReport.per_fold_warnings``.
     """
     if not c1_grid or not c2_grid:
         raise InvalidInputError("c1 and c2 grids must be nonempty")
@@ -211,18 +210,15 @@ def sweep(
     rows: list[dict] = []
     for c1 in c1_grid:
         for c2 in c2_grid:
-            hyper = replace(base_hyper, c1=c1, c2=c2)
-            # run_protocol calls it before this cell ends, so c1 and c2 are current
-            cell_on_fit = None if on_fit is None else (lambda fold, rep: on_fit(c1, c2, fold, rep))
-            report = run_protocol(source, target, hyper, k, shared_model, on_fit=cell_on_fit)
-            for fold in range(k):
+            report = run_protocol(source, target, replace(base_hyper, c1=c1, c2=c2), k, shared_model)
+            for fold, acc in enumerate(report.per_fold_accuracy):
                 rows.append(
                     {
                         "c1": c1,
                         "c2": c2,
                         "fold": fold,
-                        "accuracy": report.per_fold_accuracy[fold],
-                        "seconds": report.per_fold_seconds[fold],
+                        "accuracy": acc,
+                        "warnings": report.per_fold_warnings[fold],
                     }
                 )
     return rows

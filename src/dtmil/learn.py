@@ -13,7 +13,7 @@ The adaptation weights are recovered in closed form from the final beta and
 the bag features under the final dictionary.  Source-model training reuses
 the same dual machinery with zero source scores, and dictionaries are
 initialized from unit-normalized sampled instances (an all-zero codeword is
-a stationary point of the descent, so zero initialization is rejected).
+an exact fixed point of the descent, so zero instances are never sampled).
 """
 
 from __future__ import annotations
@@ -94,15 +94,12 @@ def update_codeword(
     and steps against the gradient with step size ``hyper.eta``.  The
     codeword norm is clipped to ``CODEWORD_NORM_CAP`` after every step: the
     objective is unbounded below along u whenever ||u||^2 > c1 * c2, and the
-    cap keeps iterates finite there.
+    cap keeps iterates finite there.  A zero codeword has zero gradient and
+    comes back unchanged.
     """
     psi = np.array(psi_init, dtype=np.float64)
     if psi.ndim != 1:
         raise InvalidInputError(f"codeword must be 1-D, got ndim={psi.ndim}")
-    if float(np.linalg.norm(psi)) == 0.0:
-        raise DegenerateInputError(
-            "initial codeword is the zero vector, a stationary point of the descent"
-        )
     if psi.shape[0] != batch.dim:
         raise InvalidInputError(
             f"codeword has dimension {psi.shape[0]} but bags have dimension {batch.dim}"
@@ -196,13 +193,7 @@ def fit_dtc(
         report.dual_values.append(state.objective)
 
         psi_before = psi
-        new_words = []
-        for word in psi.codewords:
-            if float(np.linalg.norm(word)) == 0.0:
-                # exact zero is a stationary point; leave it in place
-                new_words.append(word)
-            else:
-                new_words.append(update_codeword(word, batch, beta, labels, hyper))
+        new_words = [update_codeword(word, batch, beta, labels, hyper) for word in psi.codewords]
         psi = Dictionary(codewords=np.vstack(new_words))
 
         w_iter = recover_w(beta, prob)

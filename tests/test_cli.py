@@ -333,7 +333,7 @@ class TestSweepCommand:
                     "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
                     "--seed", "0", "--out", out]) == 0
         lines = Path(out).read_text().splitlines()
-        assert lines[0] == "c1,c2,fold,accuracy,seconds"
+        assert lines[0] == "c1,c2,fold,accuracy"
         assert len(lines) == 1 + 2 * 2 * 3
 
     def test_reports_unconverged_solves(self, workdir, capsys, monkeypatch):
@@ -365,6 +365,50 @@ class TestSweepCommand:
         assert run(["sweep", "--source", src, "--target", tgt,
                     "--c1", "abc", "--c2", "1", "--folds", "3",
                     "--seed", "0", "--out", str(tmp_path / "s.csv")]) == 1
+
+
+TINY_FIT = ["--kappa", "3", "--inner-iters", "2", "--max-outer", "2", "--seed", "1"]
+
+
+class TestDeterminism:
+    """Identical arguments give byte-identical output files, for every command
+    that writes one; wall-clock data belongs on stderr only."""
+
+    CASES = {
+        "synth": ["synth", "--config", "{config}", "--seed", "3",
+                  "--out-source", "{out}", "--out-target", "{out2}"],
+        "train-source": ["train-source", "--data", "{src}", "--words", "3", "--seed", "2",
+                         "--out", "{out}"],
+        "adapt": ["adapt", "--source-model", "{model}", "--target-train", "{tgt}", *TINY_FIT,
+                  "--out", "{out}"],
+        "eval": ["eval", "--model", "{adapted}", "--data", "{tgt}", "--out", "{out}"],
+        "embed-phi": ["embed", "--model", "{adapted}", "--data", "{tgt}", "--dict", "phi",
+                      "--out", "{out}"],
+        "embed-psi": ["embed", "--model", "{adapted}", "--data", "{tgt}", "--dict", "psi",
+                      "--out", "{out}"],
+        "protocol": ["protocol", "--source", "{src}", "--target", "{tgt}", "--folds", "3",
+                     *TINY_FIT, "--out", "{out}"],
+        "sweep": ["sweep", "--source", "{src}", "--target", "{tgt}", "--c1", "0.5,1",
+                  "--c2", "0.1,1", "--folds", "3", *TINY_FIT, "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_identical_runs_write_identical_files(self, workdir, case):
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        paths = {"config": config, "src": src, "tgt": tgt, "model": str(tmp_path / "m.json"),
+                 "adapted": str(tmp_path / "a.json"), "out": str(tmp_path / "out"),
+                 "out2": str(tmp_path / "out2")}
+        assert run(["train-source", "--data", src, "--words", "3", "--out", paths["model"]]) == 0
+        assert run(["adapt", "--source-model", paths["model"], "--target-train", tgt,
+                    "--out", paths["adapted"]] + TINY_FIT) == 0
+        argv = [arg.format(**paths) for arg in self.CASES[case]]
+        outputs = [Path(paths[name]) for name in ("out", "out2") if "{%s}" % name in self.CASES[case]]
+        written = []
+        for _ in range(2):
+            assert run(argv) == 0
+            written.append([path.read_bytes() for path in outputs])
+        assert written[0] == written[1]
 
 
 def _flag(name):

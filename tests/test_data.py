@@ -24,7 +24,8 @@ from dtmil import (
     save_model,
     score_target,
 )
-from dtmil.data import SynthConfig, write_text_atomic
+from dtmil.core import _is_real
+from dtmil.data import SynthConfig, _json_reals, write_text_atomic
 
 
 class TestWriteTextAtomic:
@@ -99,6 +100,34 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("instances", [
+        '[["1.5", "2"]]',
+        '[[1, true]]',
+        '[[false, 0.5]]',
+        '[[1, null]]',
+        '[1, 2]',
+        '[[1, 2], 3]',
+        '[[1, 2], [3]]',
+        '[[1' + '0' * 400 + ']]',
+    ])
+    def test_instances_must_be_rows_of_json_numbers(self, tmp_path, instances):
+        path = tmp_path / "numbers.jsonl"
+        path.write_text('{"id":"a","label":1,"instances":%s}\n' % instances)
+        with pytest.raises(DatasetFormatError, match=":1: bag 'a' instances"):
+            load_dataset(str(path))
+
+    def test_non_finite_error_names_the_bag_once(self, tmp_path):
+        path = tmp_path / "inf.jsonl"
+        path.write_text('{"id":"a","label":1,"instances":[[1e999]]}\n')
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}:1: bag 'a' instances contains non-finite entries"
+
+    @pytest.mark.parametrize("text", ["1", "-2.5", "true", "false", "null", '"1"', "[1]", "{}"])
+    def test_number_rule_is_core_is_real(self, text):
+        value = json.loads(text)
+        assert _json_reals([[value]], 2) == _json_reals([value], 1) == _is_real(value)
+
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(0)
         bags = [
@@ -120,6 +149,13 @@ class TestDatasetIO:
     def test_save_requires_labels(self, tmp_path):
         with pytest.raises(InvalidInputError):
             save_dataset([Bag(id="b", instances=[[1.0]])], str(tmp_path / "x.jsonl"))
+
+    def test_save_shares_the_labeled_check(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="^dataset file is empty$"):
+            save_dataset([], str(tmp_path / "x.jsonl"))
+        with pytest.raises(InvalidInputError, match="^bag 'b' in dataset file is unlabeled$"):
+            save_dataset([Bag(id="b", instances=[[1.0]])], str(tmp_path / "x.jsonl"))
+        assert not (tmp_path / "x.jsonl").exists()
 
 
 def make_adapted(rng):
@@ -211,6 +247,30 @@ class TestModelIO:
         doc["hyper"][field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=field):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key", ["phi", "v", "psi", "w"])
+    @pytest.mark.parametrize("value", ["1", True, None])
+    def test_model_arrays_must_hold_json_numbers(self, tmp_path, key, value):
+        rng = np.random.default_rng(10)
+        path = tmp_path / "numbers.json"
+        save_model(make_adapted(rng), str(path))
+        doc = json.loads(path.read_text())
+        row = doc[key][0] if key in ("phi", "psi") else doc[key]
+        row[0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f": {key} must be a"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("key,fields", [("phi", "source"), ("w", "adaptation")])
+    def test_integer_beyond_float_range_rejected(self, tmp_path, key, fields):
+        rng = np.random.default_rng(11)
+        path = tmp_path / "huge.json"
+        save_model(make_adapted(rng), str(path))
+        doc = json.loads(path.read_text())
+        (doc[key][0] if key == "phi" else doc[key])[0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"invalid {fields} fields: int too large"):
             load_model(str(path))
 
     def test_load_model_returns_matching_kind(self, tmp_path):

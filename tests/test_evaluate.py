@@ -136,7 +136,7 @@ class TestRunProtocol:
         source, target = small_problem()
         report = run_protocol(source, target, FAST, k=4)
         assert len(report.per_fold_accuracy) == 4
-        assert len(report.per_fold_seconds) == 4
+        assert len(report.per_fold_warnings) == 4
         np.testing.assert_allclose(
             report.mean_accuracy, np.mean(report.per_fold_accuracy), rtol=0, atol=1e-12
         )
@@ -219,6 +219,7 @@ class TestRunProtocol:
                               on_fit=lambda fold, rep: reports.setdefault(fold, rep))
         expected = [f"fold {fold}: {w}" for fold in range(6) for w in reports[fold].warnings]
         assert expected and report.warnings == expected
+        assert report.per_fold_warnings == [reports[fold].warnings for fold in range(6)]
 
 
 class TestSweep:
@@ -236,6 +237,24 @@ class TestSweep:
         report = run_protocol(source, target, hyper, k=3)
         assert [row["accuracy"] for row in rows] == report.per_fold_accuracy
 
+    def test_rows_carry_capped_solves_without_a_callback(self, monkeypatch):
+        import dtmil.learn
+        from dtmil import solve_box_qp
+
+        source, target = small_problem(seed=7)
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+        # the shared source model's capped solve is the one warning raised
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            rows = sweep(source, target, replace(FAST, seed=0), [0.5, 1.0], [0.1], k=3)
+        capped = "outer round 1: dual solve stopped at its sweep cap after 1 sweeps without converging"
+        assert len(rows) == 2 * 3
+        for row in rows:
+            assert set(row) == {"c1", "c2", "fold", "accuracy", "warnings"}
+            assert capped in row["warnings"]
+
     def test_empty_grid_rejected(self):
         source, target = small_problem(seed=9)
         with pytest.raises(InvalidInputError):
@@ -243,13 +262,13 @@ class TestSweep:
 
     def test_csv_format(self):
         rows = [
-            {"c1": 0.1, "c2": 1.0, "fold": 0, "accuracy": 0.75, "seconds": 0.012},
-            {"c1": 0.1, "c2": 1.0, "fold": 1, "accuracy": 1.0, "seconds": 0.011},
+            {"c1": 0.1, "c2": 1.0, "fold": 0, "accuracy": 0.75, "warnings": []},
+            {"c1": 0.1, "c2": 1.0, "fold": 1, "accuracy": 1.0, "warnings": ["capped"]},
         ]
         text = sweep_rows_to_csv(rows)
-        assert text.startswith("c1,c2,fold,accuracy,seconds\n")
-        assert "\r" not in text
+        assert text.startswith("c1,c2,fold,accuracy\n")
+        assert "\r" not in text and "capped" not in text
         parsed = list(csv.reader(io.StringIO(text)))
-        assert parsed[0] == ["c1", "c2", "fold", "accuracy", "seconds"]
+        assert parsed[0] == ["c1", "c2", "fold", "accuracy"]
         assert len(parsed) == 3
         assert float(parsed[1][3]) == 0.75

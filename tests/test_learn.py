@@ -188,9 +188,15 @@ class TestUpdateCodeword:
         out = update_codeword([1.0, 2.0], BagBatch([bag([1, 1])]), [1.0], [1], hyper)
         assert out.tolist() == [1.0, 2.0]
 
-    def test_zero_init_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            update_codeword([0.0, 0.0], BagBatch([bag([1, 1])]), [1.0], [1], Hyperparams())
+    def test_zero_codeword_comes_back_unchanged(self):
+        # u . 0 = 0 makes the gradient +0.0, so a zero codeword is an exact
+        # fixed point: every entry stays +0.0, with no sign bit, whatever u is
+        batch = BagBatch([bag([1.0, -2.0], [-3.0, 0.5], bag_id="p"), bag([-1.0, 4.0], bag_id="n")])
+        for inner_iters in (1, 50):
+            hyper = Hyperparams(c1=0.5, c2=0.1, eta=0.3, inner_iters=inner_iters)
+            out = update_codeword(np.zeros(2), batch, [0.7, 0.4], [1, -1], hyper)
+            assert out.tolist() == [0.0, 0.0]
+            assert not np.signbit(out).any()
 
     def test_stays_collinear_with_single_instance(self):
         x = np.array([3.0, 4.0])
