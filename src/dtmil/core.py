@@ -67,6 +67,15 @@ def _instance_dots(instances: np.ndarray, codeword: np.ndarray) -> np.ndarray:
     return (instances * codeword).sum(axis=1)
 
 
+def _codeword_dots(instances: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    # the one dots kernel of embed and argmax: row k holds every instance's
+    # dot with codeword k, so per-bag reductions run along contiguous rows
+    dots = np.empty((codewords.shape[0], instances.shape[0]))
+    for k, word in enumerate(codewords):
+        dots[k] = _instance_dots(instances, word)
+    return dots
+
+
 @dataclass(frozen=True)
 class Bag:
     """An identified collection of instance vectors, optionally labeled.
@@ -184,16 +193,6 @@ class AdaptedModel:
             )
 
 
-def _segment_max_dots(instances: np.ndarray, starts: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    # The one embedding kernel: column k holds each segment's maximum of the
-    # row-wise dots with codeword k, so a bag's features do not depend on
-    # which other bags share the stack.
-    out = np.empty((starts.shape[0], codewords.shape[0]))
-    for k, word in enumerate(codewords):
-        out[:, k] = np.maximum.reduceat(_instance_dots(instances, word), starts)
-    return out
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class BagBatch:
     """A list of bags with their instances stacked once.
@@ -235,22 +234,26 @@ class BagBatch:
             raise InvalidInputError(
                 f"bags have dimension {self.dim} but dictionary has dimension {dictionary.dim}"
             )
-        return _segment_max_dots(self.instances, self.starts, dictionary.codewords)
+        dots = _codeword_dots(self.instances, dictionary.codewords)
+        # a C-order copy, so that scoring sums each bag's row in one order
+        return np.ascontiguousarray(np.maximum.reduceat(dots, self.starts, axis=1).T)
 
-    def argmax(self, codeword) -> np.ndarray:
-        """For each bag, the index within the bag of the instance maximizing
-        the dot product with ``codeword``; ties resolve to the lowest index."""
-        codeword = np.asarray(codeword, dtype=np.float64)
-        if codeword.shape != (self.dim,):
+    def argmax(self, codewords) -> np.ndarray:
+        """For each of the (K, d) ``codewords`` and each bag, the index within
+        the bag of the instance maximizing the dot product; (K, n), ties
+        resolve to the lowest index."""
+        codewords = np.asarray(codewords, dtype=np.float64)
+        if codewords.ndim != 2 or codewords.shape[1] != self.dim:
             raise InvalidInputError(
-                f"codeword must have shape ({self.dim},), got {codeword.shape}"
+                f"codewords must have shape (K, {self.dim}), got {codewords.shape}"
             )
-        dots = _instance_dots(self.instances, codeword)
-        seg_max = np.maximum.reduceat(dots, self.starts)
-        positions = np.arange(dots.shape[0])
+        dots = _codeword_dots(self.instances, codewords)
+        seg_max = np.maximum.reduceat(dots, self.starts, axis=1)
+        positions = np.arange(dots.shape[1])
         firsts = np.minimum.reduceat(
-            np.where(dots == np.repeat(seg_max, self.counts), positions, dots.shape[0]),
+            np.where(dots == np.repeat(seg_max, self.counts, axis=1), positions, dots.shape[1]),
             self.starts,
+            axis=1,
         )
         return firsts - self.starts
 

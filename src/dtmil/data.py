@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -42,7 +41,9 @@ def write_text_atomic(path: str, text: str) -> None:
     """Write via a temporary file in the target directory, then rename, so a
     failure never leaves a partial output file behind."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # mode 0o666 through the umask, as for any new file; mkstemp forces 0o600
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

@@ -23,6 +23,7 @@ from .core import (
     Hyperparams,
     SourceModel,
     _check_labeled,
+    _is_int,
     predict,
     score_source,
     score_target,
@@ -80,8 +81,8 @@ def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
     position counter, so fold sizes differ by at most one and each fold's
     class ratio stays within one bag of the global ratio.
     """
-    if k < 2:
-        raise InvalidInputError(f"fold count must be >= 2, got {k}")
+    if not (_is_int(k) and k >= 2):
+        raise InvalidInputError(f"fold count must be an integer >= 2, got {k!r}")
     if len(bags) < k:
         raise InvalidInputError(f"cannot split {len(bags)} bags into {k} folds")
     ids = [bag.id for bag in bags]

@@ -5,9 +5,10 @@ The adaptation fit alternates two blocks until the dual value settles:
   1. embed the training bags under the current transfer dictionary, build
      the box-constrained dual problem and maximize it over beta (warm-started
      from the previous round);
-  2. holding beta fixed, descend each codeword on its own objective, where
-     each descent step first refreshes the per-bag argmax instance indices
-     and then takes a gradient step.
+  2. holding beta fixed, descend the whole dictionary in one
+     ``update_codeword`` call: each codeword follows its own objective, and
+     each descent step first refreshes every codeword's per-bag argmax
+     instance indices and then steps all codewords along their gradients.
 
 The adaptation weights are recovered in closed form from the final beta and
 the bag features under the final dictionary.  Source-model training reuses
@@ -32,6 +33,8 @@ from .core import (
     Hyperparams,
     SourceModel,
     _check_labeled,
+    _is_int,
+    _is_real,
     _primal_from_cache,
     score_source,
 )
@@ -73,36 +76,37 @@ def codeword_objective(psi_k, u, c1: float, c2: float) -> float:
     return 0.5 * c2 * float(psi_k @ psi_k) - 0.5 / c1 * proj * proj
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # one BLAS dot per row, the same bits as ``a_k @ b_k`` on 1-D rows
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def codeword_gradient(psi_k, u, c1: float, c2: float) -> np.ndarray:
-    """Gradient of the per-codeword objective: c2 psi - (1/c1) u (u . psi)."""
+    """Gradient of the per-codeword objective, c2 psi - (1/c1) u (u . psi), row-wise."""
     psi_k = np.asarray(psi_k, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
-    return c2 * psi_k - (float(u @ psi_k) / c1) * u
+    return c2 * psi_k - (_row_dots(u, psi_k) / c1)[..., None] * u
 
 
 def update_codeword(
-    psi_init,
+    psi: Dictionary,
     batch: BagBatch,
     beta,
     labels,
     hyper: Hyperparams,
-) -> np.ndarray:
-    """Run ``hyper.inner_iters`` descent steps on one codeword over ``batch``.
+) -> Dictionary:
+    """Run ``hyper.inner_iters`` descent steps on every codeword of ``psi`` over ``batch``.
 
-    Each step recomputes the per-bag argmax assignments for the current
-    codeword, rebuilds the rank-one factor u = sum_i beta_i y_i x_i[argmax_i],
-    and steps against the gradient with step size ``hyper.eta``.  The
-    codeword norm is clipped to ``CODEWORD_NORM_CAP`` after every step: the
-    objective is unbounded below along u whenever ||u||^2 > c1 * c2, and the
-    cap keeps iterates finite there.  A zero codeword has zero gradient and
-    comes back unchanged.
+    Each step recomputes every codeword's per-bag argmax assignments,
+    rebuilds its rank-one factor u = sum_i beta_i y_i x_i[argmax_i], and
+    steps against its gradient with step size ``hyper.eta``.  Each codeword
+    norm is clipped to ``CODEWORD_NORM_CAP`` after every step: the objective
+    is unbounded below along u whenever ||u||^2 > c1 * c2, and the cap keeps
+    iterates finite there.  A zero codeword comes back unchanged.
     """
-    psi = np.array(psi_init, dtype=np.float64)
-    if psi.ndim != 1:
-        raise InvalidInputError(f"codeword must be 1-D, got ndim={psi.ndim}")
-    if psi.shape[0] != batch.dim:
+    if psi.dim != batch.dim:
         raise InvalidInputError(
-            f"codeword has dimension {psi.shape[0]} but bags have dimension {batch.dim}"
+            f"dictionary has dimension {psi.dim} but bags have dimension {batch.dim}"
         )
     n = len(batch)
     beta = np.asarray(beta, dtype=np.float64)
@@ -112,14 +116,15 @@ def update_codeword(
             f"beta {beta.shape} and labels {labels.shape} must both have length {n}"
         )
     signed = beta * labels
+    words = psi.codewords
     for _ in range(hyper.inner_iters):
-        assignment = batch.argmax(psi)
-        u = signed @ batch.instances[batch.starts + assignment]
-        psi = psi - hyper.eta * codeword_gradient(psi, u, hyper.c1, hyper.c2)
-        norm = float(np.linalg.norm(psi))
-        if norm > CODEWORD_NORM_CAP:
-            psi *= CODEWORD_NORM_CAP / norm
-    return psi
+        # u row by row: a stacked matmul would sum in another order
+        u = np.stack([signed @ batch.instances[batch.starts + a] for a in batch.argmax(words)])
+        words = words - hyper.eta * codeword_gradient(words, u, hyper.c1, hyper.c2)
+        norms = np.sqrt(_row_dots(words, words))
+        capped = norms > CODEWORD_NORM_CAP
+        words[capped] *= (CODEWORD_NORM_CAP / norms[capped])[:, None]
+    return Dictionary(codewords=words)
 
 
 def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
@@ -130,8 +135,10 @@ def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
     are removed from the pool first (a zero codeword could never move); if
     every instance is zero the data is unusable.
     """
-    if size < 1:
-        raise InvalidInputError(f"dictionary size must be >= 1, got {size}")
+    if not (_is_int(size) and size >= 1):
+        raise InvalidInputError(f"dictionary size must be a positive integer, got {size!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     norms = np.linalg.norm(batch.instances, axis=1)
     pool = np.flatnonzero(norms > 0.0)
     if pool.shape[0] == 0:
@@ -158,7 +165,7 @@ def fit_dtc(
 
     Caches the source scores once (they do not depend on the transfer
     dictionary), initializes the dictionary from sampled target instances,
-    then alternates the dual solve and the per-codeword descent until the
+    then alternates the dual solve and the dictionary descent until the
     relative dual-value change drops below ``hyper.tol`` or ``max_outer``
     rounds have run.  The adaptation weights come from the last beta and
     the bag features under the final dictionary.
@@ -192,14 +199,10 @@ def fit_dtc(
         beta = state.beta
         report.dual_values.append(state.objective)
 
-        psi_before = psi
-        new_words = [update_codeword(word, batch, beta, labels, hyper) for word in psi.codewords]
-        psi = Dictionary(codewords=np.vstack(new_words))
-
-        w_iter = recover_w(beta, prob)
         report.primal_values.append(
-            _primal_from_cache(source_scores, z, w_iter, labels, psi_before, hyper)
+            _primal_from_cache(source_scores, z, recover_w(beta, prob), labels, psi, hyper)
         )
+        psi = update_codeword(psi, batch, beta, labels, hyper)
         report.outer_iterations = outer + 1
 
         if outer >= 1:
@@ -236,7 +239,7 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
     the seed and the bag count.
     """
     labels = _check_labeled(source_data, "source training set")
-    if not (np.isfinite(c) and c > 0):
+    if not (_is_real(c) and np.isfinite(c) and c > 0):
         raise InvalidInputError(f"regularizer weight must be positive, got {c!r}")
     if len(set(labels.tolist())) < 2:
         raise InvalidInputError("source training set must contain both classes")

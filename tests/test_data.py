@@ -1,6 +1,8 @@
 """Tests for dataset / model serialization and the synthetic generator."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -36,6 +38,17 @@ class TestWriteTextAtomic:
             write_text_atomic(str(target), "text\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_new_file_mode_follows_umask(self, tmp_path, umask, mode):
+        target = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            write_text_atomic(str(target), "text\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestDatasetIO:

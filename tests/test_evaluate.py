@@ -83,6 +83,11 @@ class TestSplitFolds:
         with pytest.raises(InvalidInputError):
             split_folds(labeled_bags(5), k=1, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InvalidInputError, match="fold count"):
+            split_folds(labeled_bags(5), k=k, seed=0)
+
     def test_partition_complement(self):
         bags = labeled_bags(12)
         split = split_folds(bags, k=4, seed=6)

@@ -30,7 +30,9 @@ from dtmil import (
     train_source,
     update_codeword,
 )
+from dtmil.core import _instance_dots
 from dtmil.data import SynthConfig
+from dtmil.learn import CODEWORD_NORM_CAP
 from dtmil.qp import DualProblem
 
 
@@ -39,7 +41,7 @@ def bag(*rows, label=None, bag_id="b"):
 
 
 def argmax(codeword, bags):
-    return BagBatch(bags).argmax(codeword)
+    return BagBatch(bags).argmax([codeword])[0]
 
 
 class TestAssignMaxInstances:
@@ -75,15 +77,13 @@ class TestAssignMaxInstances:
         rng = np.random.default_rng(1)
         bags = [Bag(id=f"b{i}", instances=rng.normal(size=(4, 2))) for i in range(6)]
         batch = BagBatch(bags)
-        table = np.vstack([batch.argmax(word) for word in rng.normal(size=(3, 2))])
+        table = batch.argmax(rng.normal(size=(3, 2)))
         assert table.shape == (3, 6)
         assert np.all((table >= 0) & (table < 4))
 
     def test_stacked_assignment_matches_per_bag_path(self):
         # the stacked argmax must pick, bit for bit, what a per-bag argmax
         # over the same row-wise dots picks, including first-index ties
-        from dtmil.core import _instance_dots
-
         rng = np.random.default_rng(12)
         for _ in range(30):
             d = int(rng.integers(1, 6))
@@ -99,12 +99,34 @@ class TestAssignMaxInstances:
         bags = [bag([1.0, 1.0], [1.0, 1.0], [2.0, 0.0])]  # dots tie on rows 0-2
         assert argmax(np.array([1.0, 1.0]), bags).tolist() == [0]
 
+    def test_argmax_attains_embedding(self):
+        # every codeword's picked instance must reach that codeword's
+        # feature in embed exactly, ties included
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            d = int(rng.integers(1, 6))
+            bags = [
+                Bag(id=f"b{i}", instances=rng.integers(-2, 3, size=(int(rng.integers(1, 7)), d)))
+                for i in range(int(rng.integers(1, 8)))
+            ]
+            batch = BagBatch(bags)
+            words = rng.normal(size=(int(rng.integers(1, 5)), d))
+            picks = batch.argmax(words)
+            z = batch.embed(Dictionary(codewords=words))
+            for k, word in enumerate(words):
+                assert np.array_equal(_instance_dots(batch.instances[batch.starts + picks[k]], word), z[:, k])
+
+
+def descend(word, batch, beta, labels, hyper):
+    # one codeword through the whole-dictionary update
+    return update_codeword(Dictionary(codewords=[word]), batch, beta, labels, hyper).codewords[0]
+
 
 def one_step(psi, bags, beta, labels):
     # with eta = c1 = c2 = 1 one descent step returns (u . psi) u, where
     # u = sum_i beta_i y_i x_i[argmax_i] is built inside update_codeword
     hyper = Hyperparams(c1=1.0, c2=1.0, eta=1.0, inner_iters=1)
-    return update_codeword(psi, BagBatch(bags), beta, labels, hyper)
+    return descend(psi, BagBatch(bags), beta, labels, hyper)
 
 
 class TestBuildU:
@@ -171,21 +193,54 @@ class TestCodewordObjectiveAndGradient:
             assert rel <= 1e-5
 
 
+def _reference_argmax(batch, codeword, seen):
+    # the single-codeword argmax that BagBatch.argmax once was, plus a
+    # tally of the ties where the pick changes u: distinct instances tied
+    # at the maximum of a nonzero codeword
+    dots = _instance_dots(batch.instances, codeword)
+    seg_max = np.maximum.reduceat(dots, batch.starts)
+    hits = dots == np.repeat(seg_max, batch.counts)
+    if np.any(codeword):
+        for start, stop in zip(batch.starts, batch.starts + batch.counts):
+            tied = batch.instances[start:stop][hits[start:stop]]
+            seen["tie"] += int(np.unique(tied, axis=0).shape[0] > 1)
+    positions = np.arange(dots.shape[0])
+    firsts = np.minimum.reduceat(np.where(hits, positions, dots.shape[0]), batch.starts)
+    return firsts - batch.starts
+
+
+def _reference_update_codeword(psi_init, batch, beta, labels, hyper, seen):
+    # the single-codeword descent that update_codeword once was, verbatim
+    # apart from its input checks, the argmax above, the 1-D gradient
+    # inlined and a tally of the steps that hit the norm cap
+    psi = np.array(psi_init, dtype=np.float64)
+    signed = np.asarray(beta, dtype=np.float64) * np.asarray(labels, dtype=np.float64)
+    for _ in range(hyper.inner_iters):
+        assignment = _reference_argmax(batch, psi, seen)
+        u = signed @ batch.instances[batch.starts + assignment]
+        psi = psi - hyper.eta * (hyper.c2 * psi - (float(u @ psi) / hyper.c1) * u)
+        norm = float(np.linalg.norm(psi))
+        if norm > CODEWORD_NORM_CAP:
+            seen["cap"] += 1
+            psi *= CODEWORD_NORM_CAP / norm
+    return psi
+
+
 class TestUpdateCodeword:
     def test_zero_beta_contracts_by_eta_c2(self):
         hyper = Hyperparams(c1=1.0, c2=1.0, eta=0.1, inner_iters=1)
-        out = update_codeword([2.0, 0.0], BagBatch([bag([1, 1])]), [0.0], [1], hyper)
+        out = descend([2.0, 0.0], BagBatch([bag([1, 1])]), [0.0], [1], hyper)
         np.testing.assert_allclose(out, [1.8, 0.0], rtol=0, atol=1e-15)
 
     def test_contraction_per_step(self):
         hyper = Hyperparams(c1=1.0, c2=0.5, eta=0.2, inner_iters=7)
         start = np.array([0.3, -0.4])
-        out = update_codeword(start, BagBatch([bag([1, 1])]), [0.0], [1], hyper)
+        out = descend(start, BagBatch([bag([1, 1])]), [0.0], [1], hyper)
         np.testing.assert_allclose(out, start * (1 - 0.2 * 0.5) ** 7, rtol=1e-12)
 
     def test_zero_steps_returns_input(self):
         hyper = Hyperparams(inner_iters=0)
-        out = update_codeword([1.0, 2.0], BagBatch([bag([1, 1])]), [1.0], [1], hyper)
+        out = descend([1.0, 2.0], BagBatch([bag([1, 1])]), [1.0], [1], hyper)
         assert out.tolist() == [1.0, 2.0]
 
     def test_zero_codeword_comes_back_unchanged(self):
@@ -194,29 +249,61 @@ class TestUpdateCodeword:
         batch = BagBatch([bag([1.0, -2.0], [-3.0, 0.5], bag_id="p"), bag([-1.0, 4.0], bag_id="n")])
         for inner_iters in (1, 50):
             hyper = Hyperparams(c1=0.5, c2=0.1, eta=0.3, inner_iters=inner_iters)
-            out = update_codeword(np.zeros(2), batch, [0.7, 0.4], [1, -1], hyper)
+            out = descend(np.zeros(2), batch, [0.7, 0.4], [1, -1], hyper)
             assert out.tolist() == [0.0, 0.0]
             assert not np.signbit(out).any()
 
     def test_stays_collinear_with_single_instance(self):
         x = np.array([3.0, 4.0])
         hyper = Hyperparams(c1=1.0, c2=0.1, eta=0.05, inner_iters=25)
-        out = update_codeword(0.2 * x, BagBatch([Bag(id="b", instances=x[None, :])]), [1.0], [1], hyper)
+        out = descend(0.2 * x, BagBatch([Bag(id="b", instances=x[None, :])]), [1.0], [1], hyper)
         cross = out[0] * x[1] - out[1] * x[0]
         assert abs(cross) <= 1e-9 * np.linalg.norm(out) * np.linalg.norm(x)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            update_codeword([1.0, 0.0, 0.0], BagBatch([bag([1, 1])]), [1.0], [1], Hyperparams())
+            descend([1.0, 0.0, 0.0], BagBatch([bag([1, 1])]), [1.0], [1], Hyperparams())
 
     def test_norm_clipped_to_cap(self):
         # strong u along psi makes the objective unbounded below; the cap
         # must keep the iterate finite
         batch = BagBatch([bag([10.0, 0.0])])
         hyper = Hyperparams(c1=0.01, c2=0.1, eta=0.5, inner_iters=50)
-        out = update_codeword([1.0, 0.0], batch, [1.0], [1], hyper)
+        out = descend([1.0, 0.0], batch, [1.0], [1], hyper)
         assert np.isfinite(out).all()
         assert np.linalg.norm(out) <= 10.0 + 1e-12
+
+    def test_matches_per_codeword_reference_bit_for_bit(self):
+        # one whole-dictionary call must reproduce, signbits included, the
+        # per-codeword loop it replaced; integer instances and codewords
+        # force argmax ties, some rows are zero and large rows hit the cap
+        rng = np.random.default_rng(31)
+        seen = {"tie": 0, "cap": 0}
+        for d in (1, 2, 10, 64):
+            for kappa in (1, 3, 20):
+                for inner_iters in (0, 1, 5):
+                    bags = [
+                        Bag(id=f"b{i}", instances=rng.integers(-3, 4, size=(int(rng.integers(1, 6)), d)))
+                        for i in range(6)
+                    ]
+                    bags.append(Bag(id="zero", instances=np.zeros((3, d))))
+                    batch = BagBatch(bags)
+                    words = np.where(
+                        rng.random(size=(kappa, 1)) < 0.3,
+                        rng.integers(-2, 3, size=(kappa, d)),
+                        rng.normal(size=(kappa, d)) * rng.choice([0.0, 1.0, 20.0], size=(kappa, 1)),
+                    )
+                    beta = rng.uniform(0.0, 1.0, size=len(bags))
+                    labels = rng.choice([1, -1], size=len(bags))
+                    c1 = float(rng.choice([0.05, 1.0]))
+                    hyper = Hyperparams(c1=c1, c2=0.1, eta=0.3, inner_iters=inner_iters)
+                    out = update_codeword(Dictionary(codewords=words), batch, beta, labels, hyper).codewords
+                    ref = np.vstack(
+                        [_reference_update_codeword(w, batch, beta, labels, hyper, seen) for w in words]
+                    )
+                    assert np.array_equal(out, ref), (d, kappa, inner_iters)
+                    assert np.array_equal(np.signbit(out), np.signbit(ref)), (d, kappa, inner_iters)
+        assert seen["tie"] > 0 and seen["cap"] > 0, seen
 
 
 class TestRecoverW:
@@ -585,6 +672,26 @@ class TestTrainSource:
     def test_single_class_rejected(self):
         with pytest.raises(InvalidInputError):
             train_source([bag([1, 2], label=1)], iota=1, c=1.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("iota", 2.5),
+            ("iota", True),
+            ("iota", 0),
+            ("c", "1"),
+            ("c", True),
+            ("c", float("inf")),
+            ("c", 0.0),
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", True),
+        ],
+    )
+    def test_arguments_follow_hyperparams_rules(self, name, value):
+        bags = [bag([1, 2], label=1, bag_id="p"), bag([2, 1], label=-1, bag_id="n")]
+        with pytest.raises(InvalidInputError):
+            train_source(bags, **{"iota": 1, "c": 1.0, "seed": 0, name: value})
 
     def test_shapes(self):
         rng = np.random.default_rng(11)

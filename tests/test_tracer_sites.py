@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import dtmil
 import dtmil.cli  # noqa: F401  (the tracer wraps its call sites too)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -48,3 +49,21 @@ def test_install_wraps_every_call_site_and_uninstall_restores(monkeypatch):
     after = dtmil_attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_counters_follow_one_fit(monkeypatch):
+    # the per-layer counters read update_codeword's ``hyper`` argument and
+    # count one span per dictionary update, i.e. one per outer round
+    tracer = load_tracer(monkeypatch)
+    config = dtmil.SynthConfig(bags_per_class_source=6, bags_per_class_target=6, instances_per_bag=(2, 4))
+    source, target = dtmil.generate_synthetic(config, 3)
+    source_model = dtmil.train_source(source, 3, 1.0, 3)
+    hyper = dtmil.Hyperparams(kappa=3, inner_iters=2, max_outer=3, tol=1e-12, seed=3)
+    t = tracer.Tracer()
+    with t.installed(), t.unit(0):
+        _, report = dtmil.fit_dtc(target, source_model, hyper)
+    metrics = tracer.layer_metrics(t.spans)
+    assert report.outer_iterations == 3
+    assert metrics["learn.codeword_updates"] == report.outer_iterations
+    assert metrics["learn.descent_steps"] == report.outer_iterations * hyper.inner_iters
+    assert metrics["learn.fits"] == 1
