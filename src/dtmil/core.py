@@ -8,21 +8,29 @@ model adds a correction term computed against a second, transfer dictionary.
 
 A ``BagBatch`` stacks a list of bags once so that embedding, scoring and
 argmax assignment run over all of them in one pass; it is the only way from
-a bag list to scores.  Everything in this module is stateless and immutable
-after construction; all functions may be called concurrently without
-coordination.
+a bag list to scores.  Features and scores sum every dot product row-wise,
+so they are the same bits in any batch.  Only the argmax reads a gemm, and
+only where a rounding-error bound proves that the gemm picks the row-wise
+argmax; it recomputes every other pick row-wise.  Everything in this module
+is immutable after construction (a batch's instance norms are cached on
+first use, deterministically); all functions may be called concurrently
+without coordination.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 VALID_LABELS = (1, -1)
+
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).smallest_subnormal
 
 
 def _frozen(values, name: str, ndim: int) -> np.ndarray:
@@ -64,16 +72,18 @@ def _instance_dots(instances: np.ndarray, codeword: np.ndarray) -> np.ndarray:
     # Row-wise sums keep each instance's dot product bit-identical no matter
     # how many other instances the bag holds or in what order; BLAS gemm does
     # not guarantee that, and the embedding properties are asserted exactly.
+    # Every feature and score goes through here; the argmax's gemm only
+    # decides which instance wins (see BagBatch.argmax).
     return (instances * codeword).sum(axis=1)
 
 
-def _codeword_dots(instances: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    # the one dots kernel of embed and argmax: row k holds every instance's
-    # dot with codeword k, so per-bag reductions run along contiguous rows
-    dots = np.empty((codewords.shape[0], instances.shape[0]))
-    for k, word in enumerate(codewords):
-        dots[k] = _instance_dots(instances, word)
-    return dots
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # 2-norm of each row, each row divided by its largest magnitude first, so
+    # that squares of tiny entries do not underflow and those of huge entries
+    # do not overflow; a non-finite row gives NaN
+    top = np.abs(rows).max(axis=1)
+    unit = rows / np.where(top > 0, top, 1.0)[:, None]
+    return top * np.sqrt((unit * unit).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -234,28 +244,70 @@ class BagBatch:
             raise InvalidInputError(
                 f"bags have dimension {self.dim} but dictionary has dimension {dictionary.dim}"
             )
-        dots = _codeword_dots(self.instances, dictionary.codewords)
+        # row k holds every instance's dot with codeword k, so that the
+        # per-bag reductions run along contiguous rows
+        dots = np.empty((dictionary.size, self.instances.shape[0]))
+        for k, word in enumerate(dictionary.codewords):
+            dots[k] = _instance_dots(self.instances, word)
         # a C-order copy, so that scoring sums each bag's row in one order
         return np.ascontiguousarray(np.maximum.reduceat(dots, self.starts, axis=1).T)
+
+    @cached_property
+    def _bag_norms(self) -> np.ndarray:
+        # each bag's largest instance 2-norm, for the argmax certificate;
+        # lazy, so that building a batch to score it costs nothing more
+        norms = np.maximum.reduceat(_row_norms(self.instances), self.starts)
+        norms.setflags(write=False)
+        return norms
 
     def argmax(self, codewords) -> np.ndarray:
         """For each of the (K, d) ``codewords`` and each bag, the index within
         the bag of the instance maximizing the dot product; (K, n), ties
-        resolve to the lowest index."""
+        resolve to the lowest index.
+
+        The picks are those of the row-wise dots that ``embed`` maximizes,
+        bit for bit, on any BLAS.  The dots come from one gemm, and a pick
+        is taken from it only where a rounding-error bound proves it the
+        same; ties, near-ties and dots that could overflow are recomputed
+        row-wise.  A NaN dot product raises ``InvalidInputError``.
+        """
         codewords = np.asarray(codewords, dtype=np.float64)
         if codewords.ndim != 2 or codewords.shape[1] != self.dim:
             raise InvalidInputError(
                 f"codewords must have shape (K, {self.dim}), got {codewords.shape}"
             )
-        dots = _codeword_dots(self.instances, codewords)
-        seg_max = np.maximum.reduceat(dots, self.starts, axis=1)
-        positions = np.arange(dots.shape[1])
-        firsts = np.minimum.reduceat(
-            np.where(dots == np.repeat(seg_max, self.counts, axis=1), positions, dots.shape[1]),
-            self.starts,
-            axis=1,
-        )
-        return firsts - self.starts
+        # Whatever order a gemm sums in, fused or not, its dot and the
+        # row-wise dot each lie within gamma_d * sum_j |x_j w_j| <=
+        # (d eps / 2) ||w|| ||x|| of the exact value, plus d times the smallest
+        # subnormal for products that underflow (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 2nd ed., sec. 3.1).  So the two
+        # differ by at most D = d eps ||w|| X + d * smallest subnormal, X the
+        # bag's largest instance norm.  When exactly one instance has a gemm
+        # dot within 2 err = 8 D of the bag's top, its row-wise dot beats
+        # every other row-wise dot strictly, with room for the rounding of
+        # the threshold itself.
+        d, m = self.dim, self.instances.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = codewords @ self.instances.T
+            top = np.maximum.reduceat(dots, self.starts, axis=1)
+            # 2d ||w|| X is infinite, and so is the threshold, wherever a
+            # product or partial sum of a dot could overflow (or a codeword
+            # is not finite); a finite threshold thus vouches for every dot
+            bound = np.multiply.outer(_row_norms(codewords), self._bag_norms) * (2 * d)
+            thresholds = top - 2 * (bound * (2 * _EPS) + 4 * d * _TINY)
+            near = dots >= np.repeat(thresholds, self.counts, axis=1)
+        sure = np.isfinite(thresholds) & (np.add.reduceat(near, self.starts, axis=1, dtype=np.intp) == 1)
+        # where exactly one instance is near the top, this sum is its index
+        picks = np.add.reduceat(near * np.arange(m), self.starts, axis=1) - self.starts
+        if not sure.all():
+            for k, i in zip(*np.nonzero(~sure)):
+                start = self.starts[i]
+                exact = _instance_dots(self.instances[start : start + self.counts[i]], codewords[k])
+                hits = np.flatnonzero(exact == exact.max())
+                if hits.size == 0:
+                    raise InvalidInputError(f"codeword {k} has a NaN dot product with an instance of bag {i}")
+                picks[k, i] = hits[0]
+        return picks
 
 
 def embed_bag(bag: Bag, dictionary: Dictionary) -> np.ndarray:

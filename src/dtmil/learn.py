@@ -102,7 +102,9 @@ def update_codeword(
     steps against its gradient with step size ``hyper.eta``.  Each codeword
     norm is clipped to ``CODEWORD_NORM_CAP`` after every step: the objective
     is unbounded below along u whenever ||u||^2 > c1 * c2, and the cap keeps
-    iterates finite there.  A zero codeword comes back unchanged.
+    iterates finite there, also when the squared norm of a step overflows.
+    A zero codeword comes back unchanged.  A step that leaves a codeword
+    non-finite raises ``InvalidInputError`` naming the step and codeword.
     """
     if psi.dim != batch.dim:
         raise InvalidInputError(
@@ -117,12 +119,27 @@ def update_codeword(
         )
     signed = beta * labels
     words = psi.codewords
-    for _ in range(hyper.inner_iters):
+    for step in range(hyper.inner_iters):
         # u row by row: a stacked matmul would sum in another order
         u = np.stack([signed @ batch.instances[batch.starts + a] for a in batch.argmax(words)])
-        words = words - hyper.eta * codeword_gradient(words, u, hyper.c1, hyper.c2)
-        norms = np.sqrt(_row_dots(words, words))
+        # overflow is checked below, per codeword, from the norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            words = words - hyper.eta * codeword_gradient(words, u, hyper.c1, hyper.c2)
+            norms = np.sqrt(_row_dots(words, words))
         capped = norms > CODEWORD_NORM_CAP
+        huge = ~np.isfinite(norms)
+        if huge.any():
+            finite_rows = np.isfinite(words).all(axis=1)
+            if not finite_rows.all():
+                raise InvalidInputError(
+                    f"descent step {step + 1}: codeword {int(np.argmin(finite_rows))} is not finite "
+                    f"(step size eta={hyper.eta!r})"
+                )
+            # a finite row whose squared norm overflows is divided by its
+            # largest magnitude before the cap, since 10 / inf would zero it
+            big = words[huge] / np.abs(words[huge]).max(axis=1)[:, None]
+            words[huge] = big * (CODEWORD_NORM_CAP / np.sqrt(_row_dots(big, big)))[:, None]
+            capped &= ~huge
         words[capped] *= (CODEWORD_NORM_CAP / norms[capped])[:, None]
     return Dictionary(codewords=words)
 

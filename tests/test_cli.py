@@ -90,6 +90,20 @@ class TestValidationErrors:
         assert code == 1
         assert not os.path.exists(out)
 
+    def test_adapt_names_the_non_finite_descent_step(self, workdir, capsys):
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model = str(tmp_path / "model.json")
+        assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
+        out = str(tmp_path / "adapted.json")
+        capsys.readouterr()
+        code = run(["adapt", "--source-model", model, "--target-train", tgt,
+                    "--eta", "1e308", "--c1", "0.01", "--out", out])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: descent step " in err and "is not finite (step size eta=1e+308)" in err
+        assert not os.path.exists(out)
+
     def test_runtime_error_exits_2_without_output(self, workdir, capsys, monkeypatch):
         import dtmil.cli
 

@@ -30,6 +30,7 @@ from dtmil import (
     train_source,
     update_codeword,
 )
+import dtmil.core
 from dtmil.core import _instance_dots
 from dtmil.data import SynthConfig
 from dtmil.learn import CODEWORD_NORM_CAP
@@ -273,6 +274,33 @@ class TestUpdateCodeword:
         assert np.isfinite(out).all()
         assert np.linalg.norm(out) <= 10.0 + 1e-12
 
+    def test_norm_cap_survives_an_overflowing_squared_norm(self):
+        # a step of about 1e200 overflows ||psi||^2; the cap must still bring
+        # every codeword to norm 10, not scale it by 10 / inf down to zero
+        _, target = generate_synthetic(SynthConfig(), 3)
+        batch = BagBatch(target)
+        labels = [b.label for b in target]
+        beta = np.full(len(target), 1.0 / len(target))
+        psi = init_dictionary(batch, 5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = update_codeword(psi, batch, beta, labels, Hyperparams(eta=1e200, inner_iters=1))
+        np.testing.assert_allclose(np.linalg.norm(out.codewords, axis=1), CODEWORD_NORM_CAP, rtol=1e-14)
+
+    def test_non_finite_step_names_step_and_codeword(self):
+        # u = [100, 0]: codeword 0 is orthogonal to it, so its step is
+        # eta * c2 * psi, finite but with an overflowing squared norm;
+        # codeword 1 lies along u, and its step overflows to infinity
+        batch = BagBatch([bag([100.0, 0.0])])
+        words = Dictionary(codewords=[[0.0, 1.0], [1.0, 0.0]])
+        hyper = Hyperparams(c1=1.0, c2=0.1, eta=1e308, inner_iters=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^descent step 1: codeword 1 is not finite"):
+                update_codeword(words, batch, [1.0], [1], hyper)
+            only_first = update_codeword(Dictionary(codewords=words.codewords[:1]), batch, [1.0], [1], hyper)
+        assert only_first.codewords.tolist() == [[0.0, -CODEWORD_NORM_CAP]]
+
     def test_matches_per_codeword_reference_bit_for_bit(self):
         # one whole-dictionary call must reproduce, signbits included, the
         # per-codeword loop it replaced; integer instances and codewords
@@ -304,6 +332,125 @@ class TestUpdateCodeword:
                     assert np.array_equal(out, ref), (d, kappa, inner_iters)
                     assert np.array_equal(np.signbit(out), np.signbit(ref)), (d, kappa, inner_iters)
         assert seen["tie"] > 0 and seen["cap"] > 0, seen
+
+
+def _count_exact_picks(monkeypatch):
+    # BagBatch.argmax calls _instance_dots only to recompute a pick exactly;
+    # the list records the bag size of every such recomputation
+    calls = []
+
+    def counting(instances, codeword):
+        calls.append(instances.shape[0])
+        return _instance_dots(instances, codeword)
+
+    monkeypatch.setattr(dtmil.core, "_instance_dots", counting)
+    return calls
+
+
+def _reference_table(batch, words):
+    return np.vstack([_reference_argmax(batch, w, {"tie": 0}) for w in words])
+
+
+class TestCertifiedArgmax:
+    """``BagBatch.argmax`` takes a pick from its gemm only where a
+    rounding-error bound proves it equal to the row-wise argmax, and
+    recomputes every other pick row-wise."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 64])
+    def test_matches_row_wise_reference_on_adversarial_input(self, d, monkeypatch):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=d)
+        x_ulp = x.copy()
+        x_ulp[-1] = np.nextafter(x[-1], np.inf)
+        rows = {
+            "duplicates": [x, x, rng.normal(size=d)],
+            "one ulp apart": [x, x_ulp],
+            "one ulp apart, reversed": [x_ulp, x, -x],
+            "single": [x],
+            "single generic": [rng.normal(size=d)],
+            "zero": np.zeros((2, d)),
+            "subnormal": rng.normal(size=(3, d)) * 1e-310,
+            "smallest subnormal": [np.full(d, 5e-324), np.full(d, 1e-323), np.zeros(d)],
+            "near overflow": rng.normal(size=(3, d)) * 1e154,
+            "huge duplicates": [x * 1e300, x * 1e300, -x * 1e300],
+            "generic": rng.normal(size=(6, d)),
+        }
+        # distinct rows whose dots with w tie up to rounding, which a gemm
+        # and the row-wise sums round differently
+        w = rng.normal(size=d)
+        for i in range(40):
+            a, b = rng.normal(size=(2, d))
+            rows[f"near tie {i}"] = [a, b + ((a - b) @ w / (w @ w)) * w]
+        batch = BagBatch([Bag(id=name, instances=r) for name, r in rows.items()])
+        words = np.vstack([
+            x, -x, np.zeros(d), w, rng.integers(-2, 3, size=d),
+            x * 1e-300, x * 1e3, np.full(d, 5e-324),
+        ])
+        exact = _count_exact_picks(monkeypatch)
+        picks = batch.argmax(words)
+        assert np.array_equal(picks, _reference_table(batch, words))
+        assert picks.dtype == np.intp and exact  # the ties above must reach the exact path
+
+    def test_ties_and_near_ties_take_the_exact_path(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=4)
+        x_ulp = x.copy()
+        x_ulp[0] = np.nextafter(x[0], -np.inf)
+        bags = [
+            Bag(id="tie", instances=[x, x]),
+            Bag(id="ulp", instances=[x_ulp, x]),
+            Bag(id="generic", instances=rng.normal(size=(5, 4))),
+        ]
+        batch = BagBatch(bags)
+        words = rng.normal(size=(3, 4))
+        exact = _count_exact_picks(monkeypatch)
+        picks = batch.argmax(words)
+        assert np.array_equal(picks, _reference_table(batch, words))
+        assert picks[:, 0].tolist() == [0, 0, 0]
+        assert sorted(exact) == [2] * 6  # both two-row bags, for each codeword
+
+    def test_zero_codeword_is_exact_only_in_multi_instance_bags(self, monkeypatch):
+        batch = BagBatch([bag([1.0, 2.0]), bag([3.0, 4.0], [-1.0, 0.5], [2.0, 2.0])])
+        exact = _count_exact_picks(monkeypatch)
+        assert batch.argmax(np.zeros((1, 2))).tolist() == [[0, 0]]
+        assert exact == [3]
+
+    def test_generic_data_takes_no_exact_path(self, monkeypatch):
+        _, target = generate_synthetic(SynthConfig(), 11)
+        batch = BagBatch(target)
+        words = np.random.default_rng(11).normal(size=(20, batch.dim))
+        exact = _count_exact_picks(monkeypatch)
+        picks = batch.argmax(words)
+        assert exact == []
+        assert np.array_equal(picks, _reference_table(batch, words))
+
+    def test_overflowing_dots_take_the_exact_path(self, monkeypatch):
+        # dots that overflow to +inf tie, row-wise, at the first infinite one
+        huge = np.full(3, 1e307)
+        batch = BagBatch([
+            Bag(id="inf", instances=[huge * 0.5, huge, huge]),
+            Bag(id="finite", instances=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+        ])
+        words = np.array([[10.0, 10.0, 10.0], [1.0, 2.0, 3.0]])
+        exact = _count_exact_picks(monkeypatch)
+        with np.errstate(over="ignore"):
+            picks = batch.argmax(words)
+            assert np.array_equal(picks, _reference_table(batch, words))
+        assert picks.tolist() == [[1, 1], [1, 1]]
+        assert exact == [3, 3]
+
+    def test_nan_dot_is_rejected(self):
+        batch = BagBatch([Bag(id="b", instances=[[1e308, -1e308]])])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="codeword 0 has a NaN dot product"):
+                batch.argmax([[10.0, 10.0]])
+
+    def test_instance_norms_are_cached_only_when_argmax_runs(self):
+        batch = BagBatch([bag([3.0, 4.0], [1e-320, 0.0]), bag([0.0, 1e200])])
+        assert "_bag_norms" not in vars(batch)
+        batch.argmax([[1.0, 0.0]])
+        assert batch._bag_norms.tolist() == [5.0, 1e200]
+        assert not batch._bag_norms.flags.writeable
 
 
 class TestRecoverW:
