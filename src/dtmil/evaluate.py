@@ -147,7 +147,7 @@ def run_protocol(
     target-only baseline; the report's warnings include any warning the
     baseline's training issued, prefixed "target-only baseline".  The
     returned report gathers those warnings too, so no caller needs ``on_fit``
-    to see them.
+    to see them.  An ``InvalidInputError`` from a fold's fit names the fold.
     """
     split = split_folds(target, k, hyper.seed)
     if source_model is None:
@@ -159,7 +159,10 @@ def run_protocol(
         inside, outside = split.partition(target, fold)
         train, test = (outside, inside) if conventional else (inside, outside)
         fold_hyper = replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold))
-        model, report = fit_dtc(train, source_model, fold_hyper)
+        try:
+            model, report = fit_dtc(train, source_model, fold_hyper)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{err} in fold {fold}") from err
         # recorded rather than shown, so every fold's capped baseline reaches
         # its own report instead of one line per call site and process
         with warnings.catch_warnings(record=True) as caught:

@@ -188,7 +188,8 @@ def fit_dtc(
     the bag features under the final dictionary.
 
     With ``max_outer = 0`` the dictionary stays at its initialization and
-    beta comes from a single dual solve on those embeddings.
+    beta comes from a single dual solve on those embeddings.  A non-finite
+    descent step's ``InvalidInputError`` also names the outer round.
     """
     start = time.perf_counter()
     labels = _check_labeled(target_train, "target training set")
@@ -219,7 +220,10 @@ def fit_dtc(
         report.primal_values.append(
             _primal_from_cache(source_scores, z, recover_w(beta, prob), labels, psi, hyper)
         )
-        psi = update_codeword(psi, batch, beta, labels, hyper)
+        try:
+            psi = update_codeword(psi, batch, beta, labels, hyper)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{err} in outer round {outer + 1}") from err
         report.outer_iterations = outer + 1
 
         if outer >= 1:

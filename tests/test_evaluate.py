@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,28 @@ FAST = Hyperparams(kappa=4, inner_iters=4, max_outer=3, seed=0)
 
 
 class TestRunProtocol:
+    def test_non_finite_descent_names_round_and_fold(self, monkeypatch):
+        # the fold in the message is the one whose fit raised: the last of
+        # the fits started, counting from 0
+        import dtmil.evaluate
+
+        real, fits = dtmil.evaluate.fit_dtc, []
+
+        def counted(*args):
+            fits.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dtmil.evaluate, "fit_dtc", counted)
+        source, target = small_problem(seed=3)
+        hyper = replace(FAST, eta=1e308, c1=0.01, seed=0)
+        with pytest.raises(InvalidInputError) as caught:
+            run_protocol(source, target, hyper, k=3)
+        assert re.fullmatch(
+            r"descent step \d+: codeword \d+ is not finite \(step size eta=1e\+308\) "
+            rf"in outer round \d+ in fold {len(fits) - 1}",
+            str(caught.value),
+        )
+
     def test_report_shape_and_mean(self):
         source, target = small_problem()
         report = run_protocol(source, target, FAST, k=4)

@@ -531,6 +531,46 @@ class TestFitDTC:
         with pytest.raises(InvalidInputError):
             fit_dtc([bag([1, 2])], toy_source(), Hyperparams())
 
+    def test_non_finite_descent_names_the_outer_round(self, monkeypatch):
+        import dtmil.learn
+
+        real, rounds = dtmil.learn.update_codeword, []
+
+        def fails_in_round_3(psi, batch, beta, labels, hyper):
+            rounds.append(len(rounds) + 1)
+            if len(rounds) == 3:
+                raise InvalidInputError("descent step 2: codeword 1 is not finite (step size eta=0.5)")
+            return real(psi, batch, beta, labels, hyper)
+
+        monkeypatch.setattr(dtmil.learn, "update_codeword", fails_in_round_3)
+        train = [bag([1, 2], label=1, bag_id="a"), bag([2, 1], label=-1, bag_id="b")]
+        with pytest.raises(InvalidInputError) as caught:
+            fit_dtc(train, toy_source(), Hyperparams(kappa=2, max_outer=5, inner_iters=2, tol=1e-12))
+        assert str(caught.value) == (
+            "descent step 2: codeword 1 is not finite (step size eta=0.5) in outer round 3"
+        )
+        assert rounds == [1, 2, 3]
+
+    def test_real_non_finite_descent_names_its_round(self, monkeypatch):
+        # the unpatched descent at an overflowing step size: the round in the
+        # message is the number of update_codeword calls made
+        import dtmil.learn
+
+        real, calls = dtmil.learn.update_codeword, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dtmil.learn, "update_codeword", counted)
+        _, target = generate_synthetic(SynthConfig(bags_per_class_target=5), 3)
+        source = train_source(target, 4, 1.0, 3)
+        with pytest.raises(InvalidInputError) as caught:
+            fit_dtc(target, source, Hyperparams(kappa=4, eta=1e308, c1=0.01, inner_iters=5))
+        message = str(caught.value)
+        assert message.startswith("descent step ")
+        assert message.endswith(f"is not finite (step size eta=1e+308) in outer round {len(calls)}")
+
     def test_single_class_warns_but_fits(self):
         train = [bag([1, 2], label=1, bag_id="a"), bag([2, 1], label=1, bag_id="b")]
         model, report = fit_dtc(train, toy_source(), Hyperparams(kappa=2, max_outer=2, inner_iters=2))

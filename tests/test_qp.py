@@ -1,15 +1,25 @@
 """Tests for the box-constrained dual solver against closed forms and an
 exhaustive grid oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import dtmil.qp as qp
 from dtmil import (
     DualProblem,
+    Hyperparams,
     InvalidInputError,
+    SynthConfig,
     dual_value,
+    fit_dtc,
+    generate_synthetic,
     kkt_residual,
     solve_box_qp,
+    train_source,
 )
 from dtmil.qp import DEFAULT_MAX_SWEEPS, DEFAULT_SWEEP_TOL
 
@@ -279,6 +289,167 @@ class TestBitIdenticalToNumpyLoop:
         assert np.any((beta > 0.0) & (beta < ub))
         assert np.any(np.diagonal(prob.gram) == 0.0)
         assert sweeps > 10
+
+
+def _assert_matches_reference(prob, init=None, max_sweeps=DEFAULT_MAX_SWEEPS):
+    state = solve_box_qp(prob, init=init, max_sweeps=max_sweeps)
+    beta, objective, sweeps, converged = _reference_solve(prob, init, max_sweeps)
+    assert np.array_equal(state.beta, beta)
+    assert state.objective == objective
+    assert state.iterations == sweeps
+    assert state.converged == converged
+    return state
+
+
+def _watch_screens(monkeypatch):
+    """Record each screen as (beta at the screen, its visit list), and each
+    mid-sweep screen as (its index among the screens, the sweep position):
+    the solver looks up where to resume a sweep only after a mid-sweep
+    screen."""
+    screens, mid_sweep = [], []
+    call, resume = qp._Screen.__call__, qp.bisect_right
+
+    def recording_call(self, b, s, floor):
+        visit, limit = call(self, b, s, floor)
+        screens.append((np.array(b), visit))
+        return visit, limit
+
+    def recording_resume(visit, i):
+        mid_sweep.append((len(screens) - 1, i))
+        return resume(visit, i)
+
+    monkeypatch.setattr(qp._Screen, "__call__", recording_call)
+    monkeypatch.setattr(qp, "bisect_right", recording_resume)
+    return screens, mid_sweep
+
+
+def fit_shaped(rng, n, d=20, scale=10.0):
+    """Bag features like a fit's: nonnegative max-dot embeddings of two
+    classes, and margins 1 - y f around a weak source score.  The scale
+    keeps the steps well inside the box, so solves take hundreds of sweeps
+    and end with a few free duals."""
+    labels = rng.choice([1, -1], size=n)
+    centers = rng.normal(size=(2, d))
+    features = np.abs(centers[(labels > 0).astype(int)] + rng.normal(size=(n, d))) * scale
+    margins = 1.0 - labels * rng.normal(0.3, 1.0, size=n)
+    return DualProblem(features=features, margins=margins, labels=labels, c1=1.0)
+
+
+class TestScreenedSweepsAreExact:
+    """Skipped visits must be exact no-ops: every solve here equals
+    ``_reference_solve``, which visits every coordinate, bit for bit."""
+
+    @pytest.mark.parametrize("n", [300, 800])
+    def test_fit_shaped_cold_solve(self, n, monkeypatch):
+        prob = fit_shaped(np.random.default_rng(n), n)
+        screens, _ = _watch_screens(monkeypatch)
+        state = _assert_matches_reference(prob)
+        assert state.converged and state.iterations > 100
+        # most sweeps ran over a small fraction of the coordinates
+        assert min(len(visit) for _, visit in screens) < n // 10
+
+    @pytest.mark.parametrize("n", [300, 800])
+    def test_warm_start_from_perturbed_features(self, n, monkeypatch):
+        rng = np.random.default_rng(n + 1)
+        first = fit_shaped(rng, n)
+        previous = solve_box_qp(first).beta
+        # the next round of a fit: the same bags under a moved dictionary
+        moved = DualProblem(
+            features=first.features * (1.0 + 0.05 * rng.normal(size=first.features.shape)),
+            margins=first.margins,
+            labels=first.labels,
+            c1=first.c1,
+        )
+        screens, _ = _watch_screens(monkeypatch)
+        _assert_matches_reference(moved, init=previous)
+        assert min(len(visit) for _, visit in screens) < n // 10
+
+    def test_certificate_runs_out_mid_sweep_and_coordinate_leaves_bound(self, monkeypatch):
+        # with no floor every certifiable coordinate is skipped, so the
+        # drift soon passes the smallest certificate and the solver screens
+        # mid-sweep; then a coordinate that the previous screen skipped on a
+        # bound comes back ahead of the sweep position and leaves that bound
+        monkeypatch.setattr(qp, "_SKIP_SWEEPS", 0)
+        prob = fit_shaped(np.random.default_rng(0), 40, scale=3.0)
+        screens, mid_sweep = _watch_screens(monkeypatch)
+        state = _assert_matches_reference(prob)
+        left = []
+        for t, position in mid_sweep:
+            before_beta, before_visit = screens[t - 1]
+            after = screens[t + 1][0] if t + 1 < len(screens) else state.beta
+            for k in set(screens[t][1]) - set(before_visit):
+                if k > position and before_beta[k] in (0.0, prob.box_upper) and after[k] != before_beta[k]:
+                    left.append(k)
+        assert left
+
+    def test_sweep_cap_hit_while_skipping(self, monkeypatch):
+        prob = fit_shaped(np.random.default_rng(300), 300)
+        screens, _ = _watch_screens(monkeypatch)
+        # this solve converges after about 1100 sweeps
+        state = _assert_matches_reference(prob, max_sweeps=600)
+        assert not state.converged and state.iterations == 600
+        assert len(screens[-1][1]) < 300 // 4
+
+    def test_huge_sweep_cap(self):
+        # the cap enters the certificate's rounding allowance, which must
+        # stay a finite float
+        _assert_matches_reference(fit_shaped(np.random.default_rng(2), 40, scale=3.0), max_sweeps=10**400)
+
+    def test_small_problems_never_screen(self, monkeypatch):
+        n = qp._SCREEN_MIN_N - 1
+        screens, _ = _watch_screens(monkeypatch)
+        _assert_matches_reference(fit_shaped(np.random.default_rng(1), n, scale=3.0))
+        assert screens == []
+
+    def test_every_solve_of_a_fit(self, monkeypatch):
+        # the warm-started problems a fit really produces, round after round
+        import dtmil.learn
+
+        source, target = generate_synthetic(SynthConfig(), 5)
+        model = train_source(source, 20, 1.0, 5)
+        solves = []
+
+        def checked(prob, init=None):
+            solves.append(prob.n)
+            return _assert_matches_reference(prob, init=init)
+
+        monkeypatch.setattr(dtmil.learn, "solve_box_qp", checked)
+        screens, _ = _watch_screens(monkeypatch)
+        fit_dtc(target, model, Hyperparams(inner_iters=10, max_outer=4, tol=1e-12, seed=5))
+        assert solves == [len(target)] * 4 and len(target) >= qp._SCREEN_MIN_N
+        assert min(len(visit) for _, visit in screens) < len(target) // 4
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_rank_deficient_problems_at_extreme_scales(self, data):
+        # low rank and zero rows give a singular Gram with zero diagonals;
+        # scales down to 1e-150 put Gram products and row updates near
+        # underflow, and up to 1e150 near overflow
+        n = data.draw(st.integers(qp._SCREEN_MIN_N, 48), label="n")
+        d = data.draw(st.integers(1, 6), label="d")
+        rank = data.draw(st.integers(1, d), label="rank")
+        exponent = data.draw(st.integers(-150, 150), label="scale exponent")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        features = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) * 10.0**exponent
+        features[rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 0.6]), label="zero rows")] = 0.0
+        with np.errstate(over="ignore"):
+            finite = bool(np.all(np.isfinite(features @ features.T)))
+        assume(finite)
+        prob = DualProblem(
+            features=features,
+            margins=rng.uniform(-1.0, 2.0, size=n),
+            labels=rng.choice([1, -1], size=n),
+            c1=float(10.0 ** rng.uniform(-1, 1)),
+        )
+        init = None
+        if data.draw(st.booleans(), label="warm"):
+            init = TestBitIdenticalToNumpyLoop._warm_start(rng, n)
+        max_sweeps = data.draw(st.integers(1, 400), label="max_sweeps")
+        # a zero floor skips every certifiable coordinate, down to the
+        # thinnest certificates
+        floor = data.draw(st.sampled_from([0, qp._SKIP_SWEEPS]), label="skip sweeps")
+        with mock.patch.object(qp, "_SKIP_SWEEPS", floor):
+            _assert_matches_reference(prob, init=init, max_sweeps=max_sweeps)
 
 
 class TestKKTResidual:
