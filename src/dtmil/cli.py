@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import asdict, fields
 
-from .core import AdaptedModel, Hyperparams, embed_bag
+from .core import AdaptedModel, Hyperparams, _check_int, _check_real, embed_bag
 from .data import (
     SynthConfig,
     generate_synthetic,
@@ -46,13 +46,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _unsigned(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
 def _add_hyper_flags(parser: argparse.ArgumentParser, weights: bool = True) -> None:
     # the one place that names a flag per Hyperparams field; sweep passes
     # weights=False because its --c1/--c2 are grids
@@ -64,7 +57,7 @@ def _add_hyper_flags(parser: argparse.ArgumentParser, weights: bool = True) -> N
     parser.add_argument("--inner-iters", type=int, default=_DEFAULTS.inner_iters, help="descent steps per codeword")
     parser.add_argument("--max-outer", type=int, default=_DEFAULTS.max_outer, help="outer iteration cap")
     parser.add_argument("--tol", type=float, default=_DEFAULTS.tol, help="relative dual-change stop")
-    parser.add_argument("--seed", type=_unsigned, default=_DEFAULTS.seed, help="seed for all randomness")
+    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed, help="seed for all randomness")
 
 
 def _hyper_from_args(args) -> Hyperparams:
@@ -106,10 +99,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train_source(args) -> int:
-    if args.words < 1:
-        raise InvalidInputError(f"--words must be >= 1, got {args.words}")
-    if not args.c > 0:
-        raise InvalidInputError(f"--c must be positive, got {args.c}")
+    # the library's own rules, applied before any file is read
+    _check_int(args.words, "--words", 1)
+    _check_real(args.c, "--c", positive=True)
+    _check_int(args.seed, "--seed", 0)
     data = load_dataset(args.data)
     model = train_source(data, args.words, args.c, args.seed)
     save_model(model, args.out)
@@ -220,7 +213,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic cross-domain dataset pair")
     p.add_argument("--config", help="JSON file of generator parameters (defaults used when omitted)")
-    p.add_argument("--seed", type=_unsigned, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-source", required=True)
     p.add_argument("--out-target", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -229,7 +222,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--words", type=int, default=_DEFAULTS.kappa, help="source dictionary size")
     p.add_argument("--c", type=float, default=_DEFAULTS.c1, help="classifier regularizer weight")
-    p.add_argument("--seed", type=_unsigned, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_source)
 

@@ -19,7 +19,7 @@ without coordination.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,13 +59,32 @@ def _check_labeled(bags: list[Bag], what: str) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def _is_int(value) -> bool:
-    # bool subclasses int, so a JSON true would otherwise pass as 1
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_real(value) -> bool:
+    # bool subclasses int, so a JSON true would otherwise pass as 1
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_int(value, name: str, minimum: int):
+    # the one rule for an integer argument: an exact int, so no bool or
+    # numpy integer passes; returns it unchanged
+    if not (type(value) is int and value >= minimum):
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _check_real(value, name: str, positive: bool = False, minimum: float | None = None):
+    # the one rule for a real argument; returns it unchanged.  Finiteness is
+    # compared exactly, so an int beyond float range fails instead of overflowing
+    ok = _is_real(value) and abs(value) <= sys.float_info.max
+    if positive:
+        ok, what = ok and value > 0, "a positive finite real"
+    elif minimum is not None:
+        ok, what = ok and value >= minimum, f"a finite real >= {minimum}"
+    else:
+        what = "a finite real"
+    if not ok:
+        raise InvalidInputError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 def _instance_dots(instances: np.ndarray, codeword: np.ndarray) -> np.ndarray:
@@ -90,8 +109,9 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 class Bag:
     """An identified collection of instance vectors, optionally labeled.
 
-    ``instances`` is an (m, d) matrix with one instance per row, m >= 1.
-    ``label`` is +1 or -1 when known, None for unlabeled inference data.
+    ``id`` is a nonempty string, ``instances`` an (m, d) matrix with one
+    instance per row, m >= 1.  ``label`` is +1 or -1 (a real, not a bool,
+    stored as an int) when known, None for unlabeled inference data.
     """
 
     id: str
@@ -99,9 +119,13 @@ class Bag:
     label: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "instances", _frozen(self.instances, f"bag {self.id!r} instances", 2))
-        if self.label is not None and self.label not in VALID_LABELS:
+        # the one bag rule, so that every bag built here saves and loads back
+        if not (isinstance(self.id, str) and self.id):
+            raise InvalidInputError(f"bag id must be a nonempty string, got {self.id!r}")
+        if self.label is not None and not (_is_real(self.label) and self.label in VALID_LABELS):
             raise InvalidInputError(f"bag {self.id!r} label must be +1 or -1, got {self.label!r}")
+        object.__setattr__(self, "label", None if self.label is None else int(self.label))
+        object.__setattr__(self, "instances", _frozen(self.instances, f"bag {self.id!r} instances", 2))
 
     @property
     def size(self) -> int:
@@ -153,17 +177,10 @@ class Hyperparams:
 
     def __post_init__(self):
         for name in ("c1", "c2", "eta", "tol"):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value) and value > 0):
-                raise InvalidInputError(f"{name} must be a positive finite real, got {value!r}")
-        if not (_is_int(self.kappa) and self.kappa >= 1):
-            raise InvalidInputError(f"kappa must be a positive integer, got {self.kappa!r}")
-        for name in ("inner_iters", "max_outer"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 0):
-                raise InvalidInputError(f"{name} must be a non-negative integer, got {value!r}")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
+            _check_real(getattr(self, name), name, positive=True)
+        _check_int(self.kappa, "kappa", 1)
+        for name in ("inner_iters", "max_outer", "seed"):
+            _check_int(getattr(self, name), name, 0)
 
 
 @dataclass(frozen=True)

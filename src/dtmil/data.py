@@ -25,9 +25,9 @@ from .core import (
     Dictionary,
     Hyperparams,
     SourceModel,
+    _check_int,
     _check_labeled,
-    _is_int,
-    _is_real,
+    _check_real,
 )
 from .errors import DatasetFormatError, InvalidInputError, ModelFormatError
 
@@ -67,14 +67,6 @@ def _json_reals(value, ndim: int) -> bool:
     )
 
 
-def _parse_label(raw, where: str) -> int:
-    if not _is_real(raw):
-        raise DatasetFormatError(f"{where}: label must be the number 1 or -1, got {raw!r}")
-    if raw not in (1, -1):
-        raise DatasetFormatError(f"{where}: label must be 1 or -1, got {raw!r}")
-    return int(raw)
-
-
 def load_dataset(path: str) -> list[Bag]:
     """Read a JSON-lines dataset, validating ids, labels and dimensions."""
     bags: list[Bag] = []
@@ -99,12 +91,9 @@ def load_dataset(path: str) -> list[Bag]:
                     + (f"; unexpected {sorted(extra)}" if extra else "")
                     + (f"; missing {sorted(missing)}" if missing else "")
                 )
+            # Bag owns the id, label and value rules; a file adds rows of JSON
+            # numbers (Bag would convert "1.5" or true), labels, unique ids
             bag_id = record["id"]
-            if not isinstance(bag_id, str) or not bag_id:
-                raise DatasetFormatError(f"{where}: id must be a nonempty string")
-            if bag_id in seen_ids:
-                raise DatasetFormatError(f"{where}: duplicate bag id {bag_id!r}")
-            label = _parse_label(record["label"], where)
             instances = record["instances"]
             if not isinstance(instances, list) or not instances:
                 raise DatasetFormatError(f"{where}: bag {bag_id!r} has no instances")
@@ -113,11 +102,15 @@ def load_dataset(path: str) -> list[Bag]:
                     f"{where}: bag {bag_id!r} instances must be rows of JSON numbers"
                 )
             try:
-                bag = Bag(id=bag_id, label=label, instances=instances)
+                bag = Bag(id=bag_id, label=record["label"], instances=instances)
             except InvalidInputError as exc:
                 raise DatasetFormatError(f"{where}: {exc}") from exc
             except (ValueError, OverflowError) as exc:  # ragged rows, integers beyond float range
                 raise DatasetFormatError(f"{where}: bag {bag_id!r} instances: {exc}") from exc
+            if bag.label is None:
+                raise DatasetFormatError(f"{where}: bag {bag_id!r} is unlabeled")
+            if bag_id in seen_ids:
+                raise DatasetFormatError(f"{where}: duplicate bag id {bag_id!r}")
             if dim is None:
                 dim = bag.dim
             elif bag.dim != dim:
@@ -133,11 +126,12 @@ def load_dataset(path: str) -> list[Bag]:
 
 
 def save_dataset(bags: list[Bag], path: str) -> None:
-    """Write bags as JSON lines (labels required; ids must be unique)."""
+    """Write labeled bags with unique ids and one dimension as JSON lines that load back."""
     _check_labeled(bags, "dataset file")
-    ids = [bag.id for bag in bags]
-    if len(set(ids)) != len(ids):
+    if len({bag.id for bag in bags}) != len(bags):
         raise InvalidInputError("bag ids must be unique within a dataset file")
+    if len({bag.dim for bag in bags}) != 1:
+        raise InvalidInputError("bags in a dataset file must share one dimension")
     lines = [
         json.dumps({"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()})
         for bag in bags
@@ -260,48 +254,27 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("d", "bags_per_class_source", "bags_per_class_target"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 1):
-                raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
-        for name in ("witness_rate", "cluster_separation", "shift_rotation_degrees", "noise_sigma"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-        rng = tuple(self.instances_per_bag) if isinstance(self.instances_per_bag, (tuple, list)) else ()
-        if len(rng) != 2 or not all(_is_int(v) for v in rng) or not 1 <= rng[0] <= rng[1]:
-            raise InvalidInputError(
-                f"instances_per_bag must be an integer range (min, max) with 1 <= min <= max, "
-                f"got {self.instances_per_bag!r}"
-            )
-        object.__setattr__(self, "instances_per_bag", rng)
-        if not 0.0 < self.witness_rate <= 1.0:
+            _check_int(getattr(self, name), name, 1)
+        rng = self.instances_per_bag
+        if not (isinstance(rng, (tuple, list)) and len(rng) == 2):
+            raise InvalidInputError(f"instances_per_bag must be a pair (min, max), got {rng!r}")
+        _check_int(rng[0], "instances_per_bag min", 1)
+        _check_int(rng[1], "instances_per_bag max", rng[0])
+        object.__setattr__(self, "instances_per_bag", tuple(rng))
+        if _check_real(self.witness_rate, "witness_rate", positive=True) > 1:
             raise InvalidInputError(f"witness_rate must lie in (0, 1], got {self.witness_rate!r}")
-        if not (math.isfinite(self.cluster_separation) and self.cluster_separation > 0):
-            raise InvalidInputError(
-                f"cluster_separation must be positive, got {self.cluster_separation!r}"
-            )
-        if not math.isfinite(self.shift_rotation_degrees):
-            raise InvalidInputError("shift_rotation_degrees must be finite")
-        if self.shift_rotation_degrees != 0.0 and self.d < 2:
+        _check_real(self.cluster_separation, "cluster_separation", positive=True)
+        if _check_real(self.shift_rotation_degrees, "shift_rotation_degrees") != 0.0 and self.d < 2:
             raise InvalidInputError("rotation shift requires dimension >= 2")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise InvalidInputError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        object.__setattr__(self, "shift_translation", self._checked_translation())
-
-    def _checked_translation(self):
+        _check_real(self.noise_sigma, "noise_sigma", minimum=0)
         raw = self.shift_translation
-        if _is_real(raw):
-            if not math.isfinite(raw):
-                raise InvalidInputError("shift_translation must be finite")
-            return float(raw)
-        if not (isinstance(raw, (tuple, list)) and all(_is_real(v) for v in raw)):
-            raise InvalidInputError(f"shift_translation must be a real or a vector of reals, got {raw!r}")
-        vec = tuple(float(v) for v in raw)
-        if len(vec) != self.d or not all(math.isfinite(v) for v in vec):
-            raise InvalidInputError(
-                f"shift_translation vector must be finite with length d={self.d}"
-            )
-        return vec
+        if isinstance(raw, (tuple, list)):
+            if len(raw) != self.d:
+                raise InvalidInputError(f"shift_translation must have length d={self.d}, got {len(raw)}")
+            translation = tuple(float(_check_real(v, "shift_translation entry")) for v in raw)
+        else:
+            translation = float(_check_real(raw, "shift_translation"))
+        object.__setattr__(self, "shift_translation", translation)
 
     def translation_vector(self) -> np.ndarray:
         """The translation as a d-vector; a scalar magnitude spreads evenly
@@ -339,7 +312,7 @@ def generate_synthetic(config: SynthConfig, seed: int) -> tuple[list[Bag], list[
     Deterministic given ``seed``; the target differs from the source only by
     the configured rotation / translation / noise transform.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int(seed, "seed", 0))
     concept_mean = np.zeros(config.d)
     concept_mean[0] = config.cluster_separation
     lo, hi = config.instances_per_bag

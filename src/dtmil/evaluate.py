@@ -22,8 +22,8 @@ from .core import (
     BagBatch,
     Hyperparams,
     SourceModel,
+    _check_int,
     _check_labeled,
-    _is_int,
     predict,
     score_source,
     score_target,
@@ -81,8 +81,8 @@ def split_folds(bags: list[Bag], k: int, seed: int) -> FoldSplit:
     position counter, so fold sizes differ by at most one and each fold's
     class ratio stays within one bag of the global ratio.
     """
-    if not (_is_int(k) and k >= 2):
-        raise InvalidInputError(f"fold count must be an integer >= 2, got {k!r}")
+    _check_int(k, "fold count", 2)
+    _check_int(seed, "seed", 0)
     if len(bags) < k:
         raise InvalidInputError(f"cannot split {len(bags)} bags into {k} folds")
     ids = [bag.id for bag in bags]

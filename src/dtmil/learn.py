@@ -32,9 +32,9 @@ from .core import (
     Dictionary,
     Hyperparams,
     SourceModel,
+    _check_int,
     _check_labeled,
-    _is_int,
-    _is_real,
+    _check_real,
     _primal_from_cache,
     score_source,
 )
@@ -48,7 +48,8 @@ CODEWORD_NORM_CAP = 10.0
 class FitReport:
     """Observability record of one adaptation fit.
 
-    The per-iteration lists all have length ``outer_iterations``.
+    The per-iteration lists all have length ``outer_iterations``, which is
+    read from ``dual_values``.
     ``warm_start_dual_values[t]`` is the dual value of the incoming beta
     under iteration t's embeddings, ``dual_values[t]`` the value after the
     solve under the same embeddings.  ``final_dual_value`` and
@@ -57,7 +58,6 @@ class FitReport:
     things, every dual solve that stopped at its sweep cap.
     """
 
-    outer_iterations: int = 0
     dual_values: list[float] = field(default_factory=list)
     primal_values: list[float] = field(default_factory=list)
     warm_start_dual_values: list[float] = field(default_factory=list)
@@ -66,6 +66,10 @@ class FitReport:
     final_dual_value: float = 0.0
     final_beta: np.ndarray = field(default_factory=lambda: np.zeros(0))
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def outer_iterations(self) -> int:
+        return len(self.dual_values)
 
 
 def codeword_objective(psi_k, u, c1: float, c2: float) -> float:
@@ -152,10 +156,8 @@ def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
     are removed from the pool first (a zero codeword could never move); if
     every instance is zero the data is unusable.
     """
-    if not (_is_int(size) and size >= 1):
-        raise InvalidInputError(f"dictionary size must be a positive integer, got {size!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_int(size, "dictionary size", 1)
+    _check_int(seed, "seed", 0)
     norms = np.linalg.norm(batch.instances, axis=1)
     pool = np.flatnonzero(norms > 0.0)
     if pool.shape[0] == 0:
@@ -165,12 +167,14 @@ def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
     return Dictionary(codewords=batch.instances[idx] / norms[idx, None])
 
 
+def _capped_text(state: DualState, where: str) -> str:
+    # the one wording of a dual solve that hit its sweep cap
+    return f"{where}: dual solve stopped at its sweep cap after {state.iterations} sweeps without converging"
+
+
 def _warn_unconverged(report: FitReport, state: DualState, where: str) -> None:
     if not state.converged:
-        report.warnings.append(
-            f"{where}: dual solve stopped at its sweep cap after {state.iterations} sweeps "
-            "without converging"
-        )
+        report.warnings.append(_capped_text(state, where))
 
 
 def fit_dtc(
@@ -207,7 +211,6 @@ def fit_dtc(
     psi = init_dictionary(batch, hyper.kappa, hyper.seed)
     beta = np.zeros(len(batch))
 
-    converged = False
     for outer in range(hyper.max_outer):
         z = batch.embed(psi)
         prob = DualProblem(features=z, margins=margins, labels=labels, c1=hyper.c1)
@@ -224,12 +227,11 @@ def fit_dtc(
             psi = update_codeword(psi, batch, beta, labels, hyper)
         except InvalidInputError as err:
             raise InvalidInputError(f"{err} in outer round {outer + 1}") from err
-        report.outer_iterations = outer + 1
 
         if outer >= 1:
             prev, curr = report.dual_values[-2], report.dual_values[-1]
             if abs(curr - prev) < hyper.tol * max(abs(prev), 1e-12):
-                converged = True
+                report.converged = True
                 break
 
     z_final = batch.embed(psi)
@@ -244,7 +246,6 @@ def fit_dtc(
 
     w = recover_w(beta, prob_final)
     model = AdaptedModel(source=source, psi=psi, w=w, hyper=hyper)
-    report.converged = converged
     report.final_beta = beta
     report.wall_time_seconds = time.perf_counter() - start
     return model, report
@@ -260,8 +261,7 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
     the seed and the bag count.
     """
     labels = _check_labeled(source_data, "source training set")
-    if not (_is_real(c) and np.isfinite(c) and c > 0):
-        raise InvalidInputError(f"regularizer weight must be positive, got {c!r}")
+    _check_real(c, "regularizer weight", positive=True)
     if len(set(labels.tolist())) < 2:
         raise InvalidInputError("source training set must contain both classes")
     batch = BagBatch(source_data)
@@ -272,8 +272,7 @@ def train_source(source_data: list[Bag], iota: int, c: float, seed: int) -> Sour
     if not state.converged:
         # a SourceModel carries no report, so the warning is the only channel
         warnings.warn(
-            f"source training: dual solve stopped at its sweep cap after {state.iterations} sweeps "
-            f"without converging (seed {seed}, {len(source_data)} bags)",
+            f"{_capped_text(state, 'source training')} (seed {seed}, {len(source_data)} bags)",
             RuntimeWarning,
             stacklevel=2,
         )

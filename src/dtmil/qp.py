@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _EPS, _TINY, VALID_LABELS, _frozen, _row_norms
+from .core import _EPS, _TINY, VALID_LABELS, _check_int, _check_real, _frozen, _row_norms
 from .errors import InvalidInputError
 
 BOX_FEASIBILITY_TOL = 1e-9
@@ -62,6 +62,7 @@ class DualProblem:
     gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        c1 = float(_check_real(self.c1, "c1", positive=True))
         features = _frozen(self.features, "features", 2)
         margins = _frozen(self.margins, "margins", 1)
         labels = np.asarray(self.labels)
@@ -79,12 +80,10 @@ class DualProblem:
         if not np.all(np.isin(labels, VALID_LABELS)):
             raise InvalidInputError("labels must be +1 or -1")
         labels = labels.astype(np.int64)
-        if not (np.isfinite(self.c1) and self.c1 > 0):
-            raise InvalidInputError(f"c1 must be a positive finite real, got {self.c1!r}")
         for name, arr in zip(("features", "margins", "labels", "gram"), (features, margins, labels, gram)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "c1", float(self.c1))
+        object.__setattr__(self, "c1", c1)
 
     @property
     def n(self) -> int:
@@ -229,6 +228,7 @@ def solve_box_qp(
     ``init`` warm-starts the iterate (validated against the box, then
     projected exactly onto it); the default start is the zero vector.
     """
+    _check_int(max_sweeps, "max_sweeps", 0)
     n = prob.n
     ub = prob.box_upper
     if init is None:

@@ -136,6 +136,26 @@ class TestValidationErrors:
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--words", "0", "--words must be an integer >= 1, got 0"),
+        ("--c", "inf", "--c must be a positive finite real, got inf"),
+        ("--c", "nan", "--c must be a positive finite real, got nan"),
+        ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+    ])
+    def test_train_source_flags_are_checked_before_the_file(self, tmp_path, capsys, flag, value, message):
+        missing = str(tmp_path / "missing.jsonl")
+        code = run(["train-source", "--data", missing, flag, value, "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["adapt", "protocol", "synth"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        paths = {"adapt": ["--source-model", "m.json", "--target-train", "t.jsonl", "--out", "o.json"],
+                 "protocol": ["--source", "s.jsonl", "--target", "t.jsonl", "--folds", "2", "--out", "o.json"],
+                 "synth": ["--out-source", str(tmp_path / "s.jsonl"), "--out-target", str(tmp_path / "t.jsonl")]}
+        assert run([command, "--seed", "-1", *paths[command]]) == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
 
 class TestPipeline:
     def test_full_pipeline(self, workdir, capsys):

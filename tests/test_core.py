@@ -12,14 +12,21 @@ from dtmil import (
     Bag,
     BagBatch,
     Dictionary,
+    DualProblem,
     Hyperparams,
     InvalidInputError,
     SourceModel,
+    SynthConfig,
     embed_bag,
+    generate_synthetic,
+    init_dictionary,
     predict,
     primal_objective,
     score_source,
     score_target,
+    solve_box_qp,
+    split_folds,
+    train_source,
 )
 
 
@@ -89,6 +96,75 @@ class TestTypes:
 
     def test_hyperparams_degenerate_budgets_are_legal(self):
         Hyperparams(inner_iters=0, max_outer=0)
+
+
+def _scalar_sites():
+    # (where, call taking the value under test, a value of the right type but
+    # out of range, or None where every finite real is in range)
+    pair = [Bag(id="p", label=1, instances=[[1.0, 2.0]]), Bag(id="n", label=-1, instances=[[2.0, 1.0]])]
+    prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+    tiny = SynthConfig(d=2, bags_per_class_source=1, bags_per_class_target=1)
+    sites = [
+        (f"Hyperparams.{name}", lambda v, name=name: Hyperparams(**{name: v}), bad)
+        for name, bad in [("c1", 0.0), ("c2", -1.0), ("eta", 0.0), ("tol", 0.0), ("kappa", 0),
+                          ("inner_iters", -1), ("max_outer", -1), ("seed", -1)]
+    ]
+    sites += [
+        (f"SynthConfig.{name}", lambda v, name=name: SynthConfig(**{name: v}), bad)
+        for name, bad in [("d", 0), ("bags_per_class_source", 0), ("bags_per_class_target", 0),
+                          ("witness_rate", 1.5), ("cluster_separation", 0.0),
+                          ("noise_sigma", -0.1), ("shift_translation", (1.0, 2.0))]
+    ]
+    return sites + [
+        ("SynthConfig.instances_per_bag min", lambda v: SynthConfig(instances_per_bag=(v, 9)), 0),
+        ("SynthConfig.instances_per_bag max", lambda v: SynthConfig(instances_per_bag=(5, v)), 4),
+        ("SynthConfig.shift_rotation_degrees",
+         lambda v: SynthConfig(d=1, shift_rotation_degrees=v), 10.0),
+        ("SynthConfig.shift_translation entry", lambda v: SynthConfig(shift_translation=[v] * 10), None),
+        ("generate_synthetic seed", lambda v: generate_synthetic(tiny, v), -1),
+        ("init_dictionary size", lambda v: init_dictionary(BagBatch(pair), v, 0), 0),
+        ("init_dictionary seed", lambda v: init_dictionary(BagBatch(pair), 1, v), -1),
+        ("train_source iota", lambda v: train_source(pair, v, 1.0, 0), 0),
+        ("train_source c", lambda v: train_source(pair, 1, v, 0), 0.0),
+        ("train_source seed", lambda v: train_source(pair, 1, 1.0, v), -1),
+        ("DualProblem.c1", lambda v: DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=v), 0.0),
+        ("solve_box_qp max_sweeps", lambda v: solve_box_qp(prob, max_sweeps=v), -1),
+        ("split_folds k", lambda v: split_folds(pair, v, 0), 1),
+        ("split_folds seed", lambda v: split_folds(pair, 2, v), -1),
+    ]
+
+
+class TestScalarRules:
+    """Every scalar argument goes through core's integer or real rule, so a
+    bool, a string, None, a non-finite or an out-of-range value raises
+    InvalidInputError, never a TypeError or a silent coercion."""
+
+    @pytest.mark.parametrize("call, value", [
+        pytest.param(call, value, id=f"{where}={value!r:.8}")
+        for where, call, out_of_range in _scalar_sites()
+        for value in [True, "1", None, math.nan, math.inf, -math.inf, -(10**400)]
+        + ([] if out_of_range is None else [out_of_range])
+    ])
+    def test_rejected_as_invalid_input(self, call, value):
+        with pytest.raises(InvalidInputError):
+            call(value)
+
+    def test_message_names_the_argument_and_value(self):
+        with pytest.raises(InvalidInputError, match=r"^c1 must be a positive finite real, got True$"):
+            DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=True)
+        with pytest.raises(InvalidInputError, match=r"^kappa must be an integer >= 1, got '1'$"):
+            Hyperparams(kappa="1")
+        with pytest.raises(InvalidInputError, match=r"^noise_sigma must be a finite real >= 0, got nan$"):
+            SynthConfig(noise_sigma=math.nan)
+        # an int beyond float range is not finite, and does not overflow the check
+        with pytest.raises(InvalidInputError, match=r"^c1 must be a positive finite real, got 1000"):
+            Hyperparams(c1=10**400)
+
+    def test_in_range_values_pass_unchanged(self):
+        hyper = Hyperparams(c1=2, c2=0.5, kappa=1, inner_iters=0, max_outer=0, seed=0)
+        assert hyper.c1 == 2 and type(hyper.c1) is int
+        assert DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=2).c1 == 2.0
+        assert SynthConfig(noise_sigma=0, shift_rotation_degrees=-30).noise_sigma == 0
 
 
 class TestEmbedBag:

@@ -3,9 +3,12 @@
 import json
 import os
 import stat
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dtmil import (
     AdaptedModel,
@@ -169,6 +172,77 @@ class TestDatasetIO:
         with pytest.raises(InvalidInputError, match="^bag 'b' in dataset file is unlabeled$"):
             save_dataset([Bag(id="b", instances=[[1.0]])], str(tmp_path / "x.jsonl"))
         assert not (tmp_path / "x.jsonl").exists()
+
+
+# candidate bag fields, valid or not: the constructor decides
+_IDS = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.none())
+_LABELS = st.sampled_from(
+    [1, -1, 1.0, -1.0, np.float64(-1.0), True, False, np.int64(1), 0, 2, 0.5, float("nan"), "1", None]
+)
+_VALUES = st.one_of(st.floats(), st.integers(-(2**70), 2**70))
+
+
+class TestSavedDatasetLoads:
+    """Bag owns the id and label rules, so a dataset that saves also loads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_accepted_bag_round_trips(self, data):
+        d = data.draw(st.integers(1, 3))
+        rows = st.lists(st.lists(_VALUES, min_size=d, max_size=d), min_size=1, max_size=3)
+        bags = {}
+        for bag_id, label, instances in data.draw(st.lists(st.tuples(_IDS, _LABELS, rows), min_size=1, max_size=6)):
+            try:
+                bag = Bag(id=bag_id, label=label, instances=instances)
+            except InvalidInputError:
+                continue
+            # a file needs labels and unique ids, which save_dataset checks
+            if bag.label is not None:
+                bags.setdefault(bag.id, bag)
+        bags = list(bags.values())
+        assume(bags)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bags.jsonl")
+            save_dataset(bags, path)
+            loaded = load_dataset(path)
+        assert [(b.id, b.label, type(b.label)) for b in loaded] == [(b.id, b.label, int) for b in bags]
+        for orig, back in zip(bags, loaded):
+            assert back.instances.shape == orig.instances.shape
+            assert back.instances.tobytes() == orig.instances.tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 3), ("id", ""), ("id", None), ("label", True), ("label", np.int64(1)), ("label", "1"),
+    ])
+    def test_fields_a_file_cannot_hold_are_rejected_at_construction(self, field, value):
+        with pytest.raises(InvalidInputError):
+            Bag(**{"id": "b", "label": 1, "instances": [[1.0]], field: value})
+
+    def test_real_label_is_stored_as_int(self, tmp_path):
+        bag = Bag(id="b", label=-1.0, instances=[[1.0]])
+        assert type(bag.label) is int and bag.label == -1
+        save_dataset([bag], str(tmp_path / "b.jsonl"))
+        assert (tmp_path / "b.jsonl").read_text() == '{"id": "b", "label": -1, "instances": [[1.0]]}\n'
+
+    def test_save_rejects_mixed_dimensions(self, tmp_path):
+        bags = [Bag(id="a", label=1, instances=[[1.0]]), Bag(id="b", label=-1, instances=[[1.0, 2.0]])]
+        with pytest.raises(InvalidInputError, match="one dimension"):
+            save_dataset(bags, str(tmp_path / "x.jsonl"))
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"id":3,"label":1,"instances":[[1.0]]}', "bag id must be a nonempty string, got 3"),
+        ('{"id":"","label":1,"instances":[[1.0]]}', "bag id must be a nonempty string, got ''"),
+        ('{"id":["a"],"label":1,"instances":[[1.0]]}', "bag id must be a nonempty string, got ['a']"),
+        ('{"id":"b","label":true,"instances":[[1.0]]}', "bag 'b' label must be +1 or -1, got True"),
+        ('{"id":"b","label":"1","instances":[[1.0]]}', "bag 'b' label must be +1 or -1, got '1'"),
+        ('{"id":"b","label":null,"instances":[[1.0]]}', "bag 'b' is unlabeled"),
+    ])
+    def test_load_wraps_the_bag_rule_with_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id":"a","label":1,"instances":[[1.0]]}\n' + record + "\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}:2: {message}"
 
 
 def make_adapted(rng):
