@@ -27,7 +27,7 @@ from .data import (
 )
 from .errors import InvalidInputError
 from .evaluate import accuracy, run_protocol, sweep, sweep_rows_to_csv
-from .learn import FitReport, fit_dtc, train_source
+from .learn import FitReport, _capture_warnings, fit_dtc, train_source
 
 _DEFAULTS = Hyperparams()
 
@@ -104,7 +104,9 @@ def _cmd_train_source(args) -> int:
     _check_real(args.c, "--c", positive=True)
     _check_int(args.seed, "--seed", 0)
     data = load_dataset(args.data)
-    model = train_source(data, args.words, args.c, args.seed)
+    model, caught = _capture_warnings(train_source, data, args.words, args.c, args.seed)
+    for message in caught:
+        _log(f"train-source: warning: {message}")
     save_model(model, args.out)
     _log(f"trained source model ({args.words} words) on {len(data)} bags -> {args.out}")
     return 0

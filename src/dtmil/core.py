@@ -31,20 +31,39 @@ VALID_LABELS = (1, -1)
 
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
+_REAL_TYPES = (int, float, np.integer, np.floating)
 
 
 def _frozen(values, name: str, ndim: int) -> np.ndarray:
-    # the one input rule for float arrays: a nonempty, finite ndim-D copy,
-    # frozen so that the caller's own array stays writable
-    arr = np.array(values, dtype=np.float64, order="C")
-    if arr.ndim != ndim:
-        raise InvalidInputError(f"{name} must be a {ndim}-D array, got ndim={arr.ndim}")
-    if arr.size == 0:
-        raise InvalidInputError(f"{name} must be nonempty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # the one rule for float arrays, in memory or from JSON: a nonempty,
+    # finite ndim-D float64 copy of real numbers, frozen so that the caller's
+    # array stays writable.  Conversion alone takes "1.5", True or 1+2j, so a
+    # non-ndarray's distinct element types are checked first (bool is an int)
+    try:
+        if isinstance(values, np.ndarray):
+            real = values.dtype.kind in "iuf"
+        else:
+            kinds = {type(x) for row in (values if ndim == 2 else [values]) for x in row}
+            real = all(issubclass(kind, _REAL_TYPES) and kind is not bool for kind in kinds)
+        arr = np.array(values, dtype=np.float64, order="C") if real else None
+    except OverflowError:  # an int beyond float range, as non-finite as 1e999
+        raise InvalidInputError(f"{name} contains non-finite entries") from None
+    except (TypeError, ValueError):  # a scalar where a row belongs, or ragged rows
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.size == 0:
+        raise InvalidInputError(f"{name} must be a nonempty {ndim}-D array of real numbers")
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _check_labels(labels) -> np.ndarray:
+    # the one label-vector rule: the array rule (no bool), each entry +1 or -1
+    arr = _frozen(labels, "labels", 1)
+    if not set(arr.tolist()) <= set(VALID_LABELS):
+        raise InvalidInputError("labels must be +1 or -1")
+    return arr.astype(np.int64)
 
 
 def _check_labeled(bags: list[Bag], what: str) -> np.ndarray:
@@ -348,11 +367,8 @@ def score_target(batch: BagBatch, model: AdaptedModel) -> np.ndarray:
 
 
 def predict(scores) -> np.ndarray:
-    """Binary decisions from real scores; the tie at exactly 0 resolves to +1."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise InvalidInputError("scores must be finite")
-    return np.where(scores >= 0, 1, -1)
+    """Binary decisions from a 1-D array of real scores; the tie at exactly 0 resolves to +1."""
+    return np.where(_frozen(scores, "scores", 1) >= 0, 1, -1)
 
 
 def _primal_from_cache(

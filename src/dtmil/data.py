@@ -56,17 +56,6 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _json_reals(value, ndim: int) -> bool:
-    # core._is_real over a decoded JSON array of ndim <= 2 levels: json gives
-    # bool and str their own types, so the exact-type test is the same rule
-    rows = value if ndim == 2 else [value]
-    return (
-        isinstance(value, list)
-        and all(type(row) is list for row in rows)
-        and {type(x) for row in rows for x in row} <= {int, float}
-    )
-
-
 def load_dataset(path: str) -> list[Bag]:
     """Read a JSON-lines dataset, validating ids, labels and dimensions."""
     bags: list[Bag] = []
@@ -91,34 +80,23 @@ def load_dataset(path: str) -> list[Bag]:
                     + (f"; unexpected {sorted(extra)}" if extra else "")
                     + (f"; missing {sorted(missing)}" if missing else "")
                 )
-            # Bag owns the id, label and value rules; a file adds rows of JSON
-            # numbers (Bag would convert "1.5" or true), labels, unique ids
-            bag_id = record["id"]
-            instances = record["instances"]
-            if not isinstance(instances, list) or not instances:
-                raise DatasetFormatError(f"{where}: bag {bag_id!r} has no instances")
-            if not _json_reals(instances, 2):
-                raise DatasetFormatError(
-                    f"{where}: bag {bag_id!r} instances must be rows of JSON numbers"
-                )
+            # Bag owns the id, label and array rules; a file adds labels and unique ids
             try:
-                bag = Bag(id=bag_id, label=record["label"], instances=instances)
+                bag = Bag(id=record["id"], label=record["label"], instances=record["instances"])
             except InvalidInputError as exc:
                 raise DatasetFormatError(f"{where}: {exc}") from exc
-            except (ValueError, OverflowError) as exc:  # ragged rows, integers beyond float range
-                raise DatasetFormatError(f"{where}: bag {bag_id!r} instances: {exc}") from exc
             if bag.label is None:
-                raise DatasetFormatError(f"{where}: bag {bag_id!r} is unlabeled")
-            if bag_id in seen_ids:
-                raise DatasetFormatError(f"{where}: duplicate bag id {bag_id!r}")
+                raise DatasetFormatError(f"{where}: bag {bag.id!r} is unlabeled")
+            if bag.id in seen_ids:
+                raise DatasetFormatError(f"{where}: duplicate bag id {bag.id!r}")
             if dim is None:
                 dim = bag.dim
             elif bag.dim != dim:
                 raise DatasetFormatError(
-                    f"{where}: bag {bag_id!r} has dimension {bag.dim}, "
+                    f"{where}: bag {bag.id!r} has dimension {bag.dim}, "
                     f"but the file started with dimension {dim}"
                 )
-            seen_ids.add(bag_id)
+            seen_ids.add(bag.id)
             bags.append(bag)
     if not bags:
         raise DatasetFormatError(f"{path}: dataset holds no bags")
@@ -195,12 +173,9 @@ def load_model(path: str) -> SourceModel | AdaptedModel:
         raise ModelFormatError(
             f"{path}: expected format_version {MODEL_FORMAT_VERSION}, found {version!r}"
         )
-    for key, ndim in (("phi", 2), ("v", 1), ("psi", 2), ("w", 1)):
-        if doc[key] is not None and not _json_reals(doc[key], ndim):
-            raise ModelFormatError(f"{path}: {key} must be a {ndim}-D array of JSON numbers")
     try:
         source = SourceModel(phi=Dictionary(codewords=doc["phi"]), v=doc["v"])
-    except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
+    except InvalidInputError as exc:
         raise ModelFormatError(f"{path}: invalid source fields: {exc}") from exc
     adaptation = (doc["psi"], doc["w"], doc["hyper"])
     if all(part is None for part in adaptation):
@@ -214,7 +189,7 @@ def load_model(path: str) -> SourceModel | AdaptedModel:
         return AdaptedModel(
             source=source, psi=Dictionary(codewords=doc["psi"]), w=doc["w"], hyper=hyper
         )
-    except (InvalidInputError, TypeError, ValueError, OverflowError) as exc:
+    except InvalidInputError as exc:
         raise ModelFormatError(f"{path}: invalid adaptation fields: {exc}") from exc
 
 

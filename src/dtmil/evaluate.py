@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from .core import (
     score_target,
 )
 from .errors import InvalidInputError
-from .learn import fit_dtc, train_source
+from .learn import _capture_warnings, fit_dtc, train_source
 
 SWEEP_CSV_HEADER = ("c1", "c2", "fold", "accuracy")
 
@@ -163,14 +162,10 @@ def run_protocol(
             model, report = fit_dtc(train, source_model, fold_hyper)
         except InvalidInputError as err:
             raise InvalidInputError(f"{err} in fold {fold}") from err
-        # recorded rather than shown, so every fold's capped baseline reaches
-        # its own report instead of one line per call site and process
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            target_acc = _target_only_accuracy(
-                train, test, hyper, derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
-            )
-        report.warnings.extend(f"target-only baseline: {w.message}" for w in caught)
+        # every fold's capped baseline reaches its own report
+        seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
+        target_acc, caught = _capture_warnings(_target_only_accuracy, train, test, hyper, seed)
+        report.warnings.extend(f"target-only baseline: {message}" for message in caught)
         if on_fit is not None:
             on_fit(fold, report)
         adapted_acc = accuracy(model, test)

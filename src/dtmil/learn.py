@@ -34,7 +34,9 @@ from .core import (
     SourceModel,
     _check_int,
     _check_labeled,
+    _check_labels,
     _check_real,
+    _frozen,
     _primal_from_cache,
     score_source,
 )
@@ -115,8 +117,8 @@ def update_codeword(
             f"dictionary has dimension {psi.dim} but bags have dimension {batch.dim}"
         )
     n = len(batch)
-    beta = np.asarray(beta, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    beta = _frozen(beta, "beta", 1)
+    labels = _check_labels(labels)
     if beta.shape != (n,) or labels.shape != (n,):
         raise InvalidInputError(
             f"beta {beta.shape} and labels {labels.shape} must both have length {n}"
@@ -175,6 +177,14 @@ def _capped_text(state: DualState, where: str) -> str:
 def _warn_unconverged(report: FitReport, state: DualState, where: str) -> None:
     if not state.converged:
         report.warnings.append(_capped_text(state, where))
+
+
+def _capture_warnings(call, *args):
+    # call(*args) with each RuntimeWarning recorded, not shown once per call site
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = call(*args)
+    return result, [str(w.message) for w in caught]
 
 
 def fit_dtc(

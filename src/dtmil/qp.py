@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _EPS, _TINY, VALID_LABELS, _check_int, _check_real, _frozen, _row_norms
+from .core import _EPS, _TINY, _check_int, _check_labels, _check_real, _frozen, _row_norms
 from .errors import InvalidInputError
 
 BOX_FEASIBILITY_TOL = 1e-9
@@ -65,7 +65,7 @@ class DualProblem:
         c1 = float(_check_real(self.c1, "c1", positive=True))
         features = _frozen(self.features, "features", 2)
         margins = _frozen(self.margins, "margins", 1)
-        labels = np.asarray(self.labels)
+        labels = _check_labels(self.labels)
         n = features.shape[0]
         if margins.shape != (n,) or labels.shape != (n,):
             raise InvalidInputError(
@@ -76,10 +76,6 @@ class DualProblem:
             gram = features @ features.T
         if not np.all(np.isfinite(gram)):
             raise InvalidInputError("gram matrix of the features overflows")
-        # checked before the integer cast, which would truncate 1.7 to 1
-        if not np.all(np.isin(labels, VALID_LABELS)):
-            raise InvalidInputError("labels must be +1 or -1")
-        labels = labels.astype(np.int64)
         for name, arr in zip(("features", "margins", "labels", "gram"), (features, margins, labels, gram)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -108,11 +104,9 @@ class DualState:
 
 
 def _checked_beta(beta, prob: DualProblem) -> np.ndarray:
-    arr = np.asarray(beta, dtype=np.float64)
+    arr = _frozen(beta, "beta", 1)
     if arr.shape != (prob.n,):
         raise InvalidInputError(f"beta must have length {prob.n}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("beta contains non-finite entries")
     ub = prob.box_upper
     if arr.min() < -BOX_FEASIBILITY_TOL or arr.max() > ub + BOX_FEASIBILITY_TOL:
         raise InvalidInputError(

@@ -17,16 +17,20 @@ from dtmil import (
     InvalidInputError,
     SourceModel,
     SynthConfig,
+    dual_value,
     embed_bag,
     generate_synthetic,
     init_dictionary,
+    kkt_residual,
     predict,
     primal_objective,
+    recover_w,
     score_source,
     score_target,
     solve_box_qp,
     split_folds,
     train_source,
+    update_codeword,
 )
 
 
@@ -165,6 +169,85 @@ class TestScalarRules:
         assert hyper.c1 == 2 and type(hyper.c1) is int
         assert DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=2).c1 == 2.0
         assert SynthConfig(noise_sigma=0, shift_rotation_degrees=-30).noise_sigma == 0
+
+
+def _array_sites():
+    # (where, the name its error gives the array, ndim, call taking the
+    # array under test); every other argument is valid and has size 1, so
+    # only the array rule can reject a bad value
+    one = Dictionary(codewords=[[1.0]])
+    source = SourceModel(phi=one, v=[1.0])
+    prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+    batch = BagBatch([Bag(id="a", instances=[[1.0]], label=1)])
+    return [
+        ("Bag.instances", "bag 'a' instances", 2, lambda x: Bag(id="a", instances=x)),
+        ("Dictionary.codewords", "dictionary codewords", 2, lambda x: Dictionary(codewords=x)),
+        ("SourceModel.v", "source classifier v", 1, lambda x: SourceModel(phi=one, v=x)),
+        ("AdaptedModel.w", "adaptation weights w", 1,
+         lambda x: AdaptedModel(source=source, psi=one, w=x, hyper=Hyperparams(kappa=1))),
+        ("DualProblem.features", "features", 2,
+         lambda x: DualProblem(features=x, margins=[1.0], labels=[1], c1=1.0)),
+        ("DualProblem.margins", "margins", 1,
+         lambda x: DualProblem(features=[[1.0]], margins=x, labels=[1], c1=1.0)),
+        ("dual_value beta", "beta", 1, lambda x: dual_value(x, prob)),
+        ("recover_w beta", "beta", 1, lambda x: recover_w(x, prob)),
+        ("kkt_residual beta", "beta", 1, lambda x: kkt_residual(x, prob)),
+        ("solve_box_qp init", "beta", 1, lambda x: solve_box_qp(prob, init=x)),
+        ("predict", "scores", 1, predict),
+        ("update_codeword beta", "beta", 1,
+         lambda x: update_codeword(one, batch, x, [1], Hyperparams(kappa=1, inner_iters=1))),
+    ]
+
+
+# (what, its 2-D form, its 1-D form)
+_BAD_ARRAYS = [
+    ("str", [["1.5"]], ["1.5"]),
+    ("bool", [[True]], [True]),
+    ("None", [[None]], [None]),
+    ("int beyond float range", [[10**400]], [10**400]),
+    ("ragged", [[1.0, 2.0], [3.0]], [1.0, [2.0]]),
+    ("scalar row", [[1.0], 2.0], 1.0),
+    ("complex ndarray", np.array([[1 + 2j]]), np.array([1 + 2j])),
+]
+
+
+class TestArrayRule:
+    """Every float array, built in memory or decoded from a file, goes
+    through core's one array rule: a bool, a string, None, a complex value,
+    an int beyond float range, a ragged row or a scalar row raises
+    InvalidInputError naming the array, never a numpy error, a warning or a
+    silent coercion."""
+
+    @pytest.mark.parametrize("name, call, value", [
+        pytest.param(name, call, two_d if ndim == 2 else one_d, id=f"{where}-{what}")
+        for where, name, ndim, call in _array_sites()
+        for what, two_d, one_d in _BAD_ARRAYS
+    ])
+    def test_rejected_as_invalid_input(self, name, call, value):
+        with pytest.raises(InvalidInputError, match=f"^{name} "):
+            call(value)
+
+    def test_numpy_scalars_and_ndarray_rows_pass(self):
+        rows = [np.array([1, 2], dtype=np.int32), [np.float32(0.5), np.int64(-3)]]
+        assert Dictionary(codewords=rows).codewords.tolist() == [[1.0, 2.0], [0.5, -3.0]]
+        assert predict([np.float64(-1.0), 2]).tolist() == [-1, 1]
+
+    @pytest.mark.parametrize("labels", [[True, -1], np.array([True, True])])
+    def test_dual_problem_labels_follow_the_label_rule(self, labels):
+        with pytest.raises(InvalidInputError, match="labels"):
+            DualProblem(features=np.eye(2), margins=[1.0, 1.0], labels=labels, c1=1.0)
+
+    def test_update_codeword_labels_follow_the_label_rule(self):
+        batch = BagBatch([Bag(id=f"b{i}", instances=[[1.0, float(i)]]) for i in range(4)])
+        psi = Dictionary(codewords=[[1.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="^labels must be \\+1 or -1$"):
+            update_codeword(psi, batch, [0.1] * 4, [5, 5, 5, 5], Hyperparams(kappa=1))
+
+    def test_non_finite_beta_is_blamed_on_beta(self):
+        batch = BagBatch([Bag(id="a", instances=[[1.0]])])
+        psi = Dictionary(codewords=[[1.0]])
+        with pytest.raises(InvalidInputError, match="^beta contains non-finite entries$"):
+            update_codeword(psi, batch, [math.nan], [1], Hyperparams(kappa=1))
 
 
 class TestEmbedBag:

@@ -29,8 +29,17 @@ from dtmil import (
     save_model,
     score_target,
 )
-from dtmil.core import _is_real
-from dtmil.data import SynthConfig, _json_reals, write_text_atomic
+from dtmil.core import _frozen, _is_real
+from dtmil.data import SynthConfig, write_text_atomic
+
+
+# load_model's error wording per model key: (fields group, array name, ndim)
+MODEL_ARRAYS = {
+    "phi": ("source", "dictionary codewords", 2),
+    "v": ("source", "source classifier v", 1),
+    "psi": ("adaptation", "dictionary codewords", 2),
+    "w": ("adaptation", "adaptation weights w", 1),
+}
 
 
 class TestWriteTextAtomic:
@@ -86,7 +95,7 @@ class TestDatasetIO:
     def test_empty_bag_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text('{"id":"b1","label":1,"instances":[]}\n')
-        with pytest.raises(DatasetFormatError, match="no instances"):
+        with pytest.raises(DatasetFormatError, match="bag 'b1' instances must be a nonempty 2-D array"):
             load_dataset(str(path))
 
     def test_duplicate_id_rejected(self, tmp_path):
@@ -141,8 +150,19 @@ class TestDatasetIO:
 
     @pytest.mark.parametrize("text", ["1", "-2.5", "true", "false", "null", '"1"', "[1]", "{}"])
     def test_number_rule_is_core_is_real(self, text):
+        # files and memory share core's array rule, for lists and ndarrays alike
         value = json.loads(text)
-        assert _json_reals([[value]], 2) == _json_reals([value], 1) == _is_real(value)
+
+        def accepts(values, ndim):
+            try:
+                _frozen(values, "x", ndim)
+            except InvalidInputError:
+                return False
+            return True
+
+        rows = [[value]], [value]
+        assert [accepts(v, 2 - i) for i, v in enumerate(rows)] == [_is_real(value)] * 2
+        assert [accepts(np.array(v), 2 - i) for i, v in enumerate(rows)] == [_is_real(value)] * 2
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -346,7 +366,9 @@ class TestModelIO:
         row = doc[key][0] if key in ("phi", "psi") else doc[key]
         row[0] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=f": {key} must be a"):
+        group, name, ndim = MODEL_ARRAYS[key]
+        message = f": invalid {group} fields: {name} must be a nonempty {ndim}-D array of real numbers$"
+        with pytest.raises(ModelFormatError, match=message):
             load_model(str(path))
 
     @pytest.mark.parametrize("key,fields", [("phi", "source"), ("w", "adaptation")])
@@ -357,7 +379,8 @@ class TestModelIO:
         doc = json.loads(path.read_text())
         (doc[key][0] if key == "phi" else doc[key])[0] = 10**400
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=f"invalid {fields} fields: int too large"):
+        name = MODEL_ARRAYS[key][1]
+        with pytest.raises(ModelFormatError, match=f"invalid {fields} fields: {name} contains non-finite entries$"):
             load_model(str(path))
 
     def test_load_model_returns_matching_kind(self, tmp_path):
