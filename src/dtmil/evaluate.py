@@ -4,13 +4,18 @@ The cross-validation here is deliberately inverted: each fold serves as the
 *training* set while the remaining k-1 folds are tested, modeling a target
 domain where labeled data is scarce.  A conventional flag flips that around.
 Per-fold seeds derive from (seed, fold index), so fold work is
-order-independent.
+order-independent: where the process can fork safely, the folds run in
+forked worker processes, with the same results, bit for bit, as in-process.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
+import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,12 +33,16 @@ from .core import (
     score_target,
 )
 from .errors import InvalidInputError
-from .learn import _capture_warnings, fit_dtc, train_source
+from .learn import FitReport, _capture_warnings, fit_dtc, train_source
 
 SWEEP_CSV_HEADER = ("c1", "c2", "fold", "accuracy")
 
 # stream tags keeping derived seeds disjoint across uses
 _SEED_SOURCE, _SEED_FIT, _SEED_TARGET_ONLY = 0, 1, 2
+
+# the fold function of the running pool, handed to its workers by the fork
+# itself, so that no bag is pickled; set only while the pool runs
+_FOLD = None
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -124,6 +133,60 @@ def _target_only_accuracy(train: list[Bag], test: list[Bag], hyper: Hyperparams,
     return accuracy(model, test)
 
 
+def _thread_count() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+def _fold_workers(k: int) -> int:
+    # how many processes may run k folds; 1 keeps them in this one.  A fork
+    # is safe only in a single-threaded process: a child of a process with a
+    # second thread (a multi-threaded BLAS, say) may deadlock on a lock that
+    # thread held, and those threads would compete with the workers for the
+    # cores anyway.  A multiprocessing daemon may not have children at all.
+    if sys.platform != "linux" or _thread_count() > 1:
+        return 1
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return min(k, len(os.sched_getaffinity(0)))
+
+
+def _run_fold(fold: int):
+    return _FOLD(fold)
+
+
+@contextmanager
+def _fold_results(run_fold, k: int):
+    # run_fold(0), ..., run_fold(k - 1) in fold order, from forked workers
+    # when _fold_workers allows; a raise cancels the folds not yet started,
+    # and no worker outlives the block
+    global _FOLD
+    workers = _fold_workers(k)
+    if workers < 2:
+        yield map(run_fold, range(k))
+        return
+    # imported here: multiprocessing alone adds about 2 MB to the process
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # with the fork context, the pool forks every worker at the first
+    # submit, before it starts a thread of its own
+    _FOLD, threads = run_fold, _thread_count()
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_fold, fold) for fold in range(k)]
+        yield (future.result() for future in futures)
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _FOLD = None
+        # the pool's threads are joined, but leave the OS up to milliseconds
+        # later; wait for that, so that a run right after this one (a sweep's
+        # next cell) finds the thread count it started with and forks again
+        deadline = time.monotonic() + 1.0
+        while _thread_count() > threads and time.monotonic() < deadline:
+            time.sleep(0.0005)
+
+
 def run_protocol(
     source: list[Bag],
     target: list[Bag],
@@ -147,6 +210,10 @@ def run_protocol(
     baseline's training issued, prefixed "target-only baseline".  The
     returned report gathers those warnings too, so no caller needs ``on_fit``
     to see them.  An ``InvalidInputError`` from a fold's fit names the fold.
+
+    The folds may run in forked worker processes (see ``_fold_workers``);
+    ``on_fit`` still runs in the caller, in fold order, and the report and
+    every ``FitReport`` are the same either way.
     """
     split = split_folds(target, k, hyper.seed)
     if source_model is None:
@@ -154,7 +221,7 @@ def run_protocol(
             source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE)
         )
 
-    def run_fold(fold: int) -> tuple[float, float, float, list[str]]:
+    def run_fold(fold: int) -> tuple[float, float, float, FitReport]:
         inside, outside = split.partition(target, fold)
         train, test = (outside, inside) if conventional else (inside, outside)
         fold_hyper = replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold))
@@ -166,13 +233,14 @@ def run_protocol(
         seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
         target_acc, caught = _capture_warnings(_target_only_accuracy, train, test, hyper, seed)
         report.warnings.extend(f"target-only baseline: {message}" for message in caught)
-        if on_fit is not None:
-            on_fit(fold, report)
-        adapted_acc = accuracy(model, test)
-        source_acc = accuracy(source_model, test)
-        return adapted_acc, source_acc, target_acc, report.warnings
+        return accuracy(model, test), accuracy(source_model, test), target_acc, report
 
-    results = [run_fold(fold) for fold in range(split.k)]
+    results = []
+    with _fold_results(run_fold, split.k) as folds:
+        for fold, result in enumerate(folds):
+            if on_fit is not None:
+                on_fit(fold, result[3])
+            results.append(result)
 
     per_fold = [r[0] for r in results]
     return ProtocolReport(
@@ -182,7 +250,7 @@ def run_protocol(
             "source_only": float(np.mean([r[1] for r in results])),
             "target_only": float(np.mean([r[2] for r in results])),
         },
-        per_fold_warnings=[r[3] for r in results],
+        per_fold_warnings=[r[3].warnings for r in results],
     )
 
 

@@ -74,24 +74,45 @@ class FitReport:
         return len(self.dual_values)
 
 
-def codeword_objective(psi_k, u, c1: float, c2: float) -> float:
-    """Per-codeword objective (c2/2)||psi||^2 - (1/(2 c1)) (u . psi)^2."""
-    psi_k = np.asarray(psi_k, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    proj = float(u @ psi_k)
-    return 0.5 * c2 * float(psi_k @ psi_k) - 0.5 / c1 * proj * proj
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # one BLAS dot per row, the same bits as ``a_k @ b_k`` on 1-D rows
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
+def _checked_codewords(psi_k, u, c1, c2) -> tuple[np.ndarray, np.ndarray]:
+    # psi_k and u under the array rule, as one codeword (1-D) or one per row
+    # (2-D) of the same shape; c1 and c2 under the real rule
+    _check_real(c1, "c1", positive=True)
+    _check_real(c2, "c2", positive=True)
+    try:
+        ndim = 2 if np.ndim(psi_k) == 2 else 1
+    except ValueError:  # ragged rows, which the array rule names below
+        ndim = 1
+    psi_k, u = _frozen(psi_k, "psi_k", ndim), _frozen(u, "u", ndim)
+    if psi_k.shape != u.shape:
+        raise InvalidInputError(f"psi_k {psi_k.shape} and u {u.shape} must have the same shape")
+    return psi_k, u
+
+
+def codeword_objective(psi_k, u, c1: float, c2: float):
+    """Per-codeword objective (c2/2)||psi||^2 - (1/(2 c1)) (u . psi)^2.
+
+    A float for one codeword (1-D ``psi_k`` and ``u``), one value per row
+    for row-wise 2-D input.
+    """
+    psi_k, u = _checked_codewords(psi_k, u, c1, c2)
+    proj = _row_dots(u, psi_k)
+    values = 0.5 * c2 * _row_dots(psi_k, psi_k) - 0.5 / c1 * proj * proj
+    return float(values) if values.ndim == 0 else values
+
+
+def _gradient(psi_k: np.ndarray, u: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    return c2 * psi_k - (_row_dots(u, psi_k) / c1)[..., None] * u
+
+
 def codeword_gradient(psi_k, u, c1: float, c2: float) -> np.ndarray:
     """Gradient of the per-codeword objective, c2 psi - (1/c1) u (u . psi), row-wise."""
-    psi_k = np.asarray(psi_k, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    return c2 * psi_k - (_row_dots(u, psi_k) / c1)[..., None] * u
+    return _gradient(*_checked_codewords(psi_k, u, c1, c2), c1, c2)
 
 
 def update_codeword(
@@ -126,11 +147,11 @@ def update_codeword(
     signed = beta * labels
     words = psi.codewords
     for step in range(hyper.inner_iters):
-        # u row by row: a stacked matmul would sum in another order
-        u = np.stack([signed @ batch.instances[batch.starts + a] for a in batch.argmax(words)])
+        # one gemv per codeword, the same call as ``signed @ block`` makes
+        u = np.matmul(signed, batch.instances[batch.starts + batch.argmax(words)])
         # overflow is checked below, per codeword, from the norms
         with np.errstate(over="ignore", invalid="ignore"):
-            words = words - hyper.eta * codeword_gradient(words, u, hyper.c1, hyper.c2)
+            words = words - hyper.eta * _gradient(words, u, hyper.c1, hyper.c2)
             norms = np.sqrt(_row_dots(words, words))
         capped = norms > CODEWORD_NORM_CAP
         huge = ~np.isfinite(norms)

@@ -236,6 +236,8 @@ def solve_box_qp(
     # s_i = sum_j K_ij beta_j y_j, maintained incrementally; symmetric gram
     # lets the update read the contiguous row instead of a strided column.
     s = gram @ (beta * labels)
+    # s read through a memoryview gives Python floats; step holds each row update
+    sv, rows, step = memoryview(s), list(gram), np.empty(n)
     b = beta.tolist()
     y = labels.tolist()
     margins = prob.margins.tolist()
@@ -256,7 +258,7 @@ def solve_box_qp(
         while order:
             rest = []
             for i in order:
-                grad_i = margins[i] - y[i] * s.item(i) / c1
+                grad_i = margins[i] - y[i] * sv[i] / c1
                 if diag[i] > 0.0:
                     target = b[i] + c1 * grad_i / diag[i]
                     new = ub if target > ub else (0.0 if target < 0.0 else target)
@@ -265,7 +267,8 @@ def solve_box_qp(
                 delta = new - b[i]
                 if delta != 0.0:
                     b[i] = new
-                    s += gram[i] * (y[i] * delta)
+                    np.multiply(rows[i], y[i] * delta, out=step)
+                    s += step
                     if abs(delta) > max_delta:
                         max_delta = abs(delta)
                     drift += znorm[i] * abs(delta)

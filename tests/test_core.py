@@ -17,6 +17,8 @@ from dtmil import (
     InvalidInputError,
     SourceModel,
     SynthConfig,
+    codeword_gradient,
+    codeword_objective,
     dual_value,
     embed_bag,
     generate_synthetic,
@@ -196,6 +198,10 @@ def _array_sites():
         ("predict", "scores", 1, predict),
         ("update_codeword beta", "beta", 1,
          lambda x: update_codeword(one, batch, x, [1], Hyperparams(kappa=1, inner_iters=1))),
+        ("codeword_objective psi_k", "psi_k", 1, lambda x: codeword_objective(x, [1.0], 1.0, 1.0)),
+        ("codeword_objective u", "u", 1, lambda x: codeword_objective([1.0], x, 1.0, 1.0)),
+        ("codeword_gradient psi_k", "psi_k", 2, lambda x: codeword_gradient(x, [[1.0]], 1.0, 1.0)),
+        ("codeword_gradient u", "u", 2, lambda x: codeword_gradient([[1.0]], x, 1.0, 1.0)),
     ]
 
 

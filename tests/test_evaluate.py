@@ -4,6 +4,7 @@ import csv
 import io
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,19 +138,45 @@ def small_problem(seed=0):
 FAST = Hyperparams(kappa=4, inner_iters=4, max_outer=3, seed=0)
 
 
+def fold_workers(monkeypatch, workers):
+    # force run_protocol's path: 1 runs the folds in-process, 2 in two forked
+    # workers, whatever the probe would find in this process
+    import dtmil.evaluate
+
+    monkeypatch.setattr(dtmil.evaluate, "_fold_workers", lambda k: workers)
+
+
+def counted_fits(monkeypatch):
+    # a list that grows by one for each fold fit started in this process
+    import dtmil.evaluate
+
+    real, fits = dtmil.evaluate.fit_dtc, []
+
+    def counted(*args):
+        fits.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(dtmil.evaluate, "fit_dtc", counted)
+    return fits
+
+
+def capped_solves(monkeypatch):
+    import dtmil.learn
+    from dtmil import solve_box_qp
+
+    monkeypatch.setattr(
+        dtmil.learn, "solve_box_qp",
+        lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
+    )
+
+
 class TestRunProtocol:
     def test_non_finite_descent_names_round_and_fold(self, monkeypatch):
         # the fold in the message is the one whose fit raised: the last of
-        # the fits started, counting from 0
-        import dtmil.evaluate
-
-        real, fits = dtmil.evaluate.fit_dtc, []
-
-        def counted(*args):
-            fits.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(dtmil.evaluate, "fit_dtc", counted)
+        # the fits started, counting from 0, which only an in-process run
+        # can count here
+        fold_workers(monkeypatch, 1)
+        fits = counted_fits(monkeypatch)
         source, target = small_problem(seed=3)
         hyper = replace(FAST, eta=1e308, c1=0.01, seed=0)
         with pytest.raises(InvalidInputError) as caught:
@@ -205,15 +232,9 @@ class TestRunProtocol:
         assert sorted(seen) == [0, 1, 2, 3]
 
     def test_capped_baseline_is_reported_per_fold(self, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
         source, target = small_problem(seed=7)
         model = train_source(source, FAST.kappa, FAST.c1, seed=99)
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+        capped_solves(monkeypatch)
         reports = {}
         run_protocol(source, target, FAST, k=4, source_model=model,
                      on_fit=lambda fold, rep: reports.setdefault(fold, rep))
@@ -224,15 +245,9 @@ class TestRunProtocol:
             assert "dual solve stopped at its sweep cap after 1 sweeps" in baseline[0]
 
     def test_warnings_reach_the_report_without_on_fit(self, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
         source, target = small_problem(seed=7)
         model = train_source(source, FAST.kappa, FAST.c1, seed=99)
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+        capped_solves(monkeypatch)
         report = run_protocol(source, target, FAST, k=4, source_model=model)
         capped = "outer round 1: dual solve stopped at its sweep cap after 1 sweeps without converging"
         for fold in range(4):
@@ -248,6 +263,138 @@ class TestRunProtocol:
         expected = [f"fold {fold}: {w}" for fold in range(6) for w in reports[fold].warnings]
         assert expected and report.warnings == expected
         assert report.per_fold_warnings == [reports[fold].warnings for fold in range(6)]
+
+
+def fit_record(report):
+    # every FitReport field but the wall time, final beta as its bytes
+    return (report.dual_values, report.primal_values, report.warm_start_dual_values,
+            report.converged, report.final_dual_value, report.final_beta.tobytes(), report.warnings)
+
+
+# a forced pool forks this process even where a multi-threaded BLAS runs;
+# Python 3.12 and later warn about that fork
+forks = pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+
+
+@forks
+class TestFoldWorkers:
+    """Folds in forked workers give the in-process results, bit for bit."""
+
+    def run_both(self, monkeypatch, *args, **kwargs):
+        out = []
+        for workers in (2, 1):
+            fold_workers(monkeypatch, workers)
+            calls = []
+            report = run_protocol(*args, **kwargs,
+                                  on_fit=lambda fold, rep: calls.append((fold, fit_record(rep))))
+            out.append((report, calls))
+        return out
+
+    @pytest.mark.parametrize("conventional", [False, True])
+    def test_same_reports_as_in_process(self, monkeypatch, conventional):
+        source, target = small_problem(seed=5)
+        pooled, local = self.run_both(monkeypatch, source, target, FAST, k=4,
+                                      conventional=conventional)
+        assert pooled == local
+        assert [fold for fold, _ in local[1]] == [0, 1, 2, 3]
+
+    def test_warnings_cross_the_process_boundary(self, monkeypatch):
+        source, target = small_problem(seed=7)
+        model = train_source(source, FAST.kappa, FAST.c1, seed=99)
+        capped_solves(monkeypatch)
+        pooled, local = self.run_both(monkeypatch, source, target, FAST, k=4, source_model=model)
+        assert pooled == local
+        assert all(any(w.startswith("target-only baseline: ") for w in record[-1])
+                   for _, record in pooled[1])
+
+    def test_fits_run_in_the_workers(self, monkeypatch):
+        fits = counted_fits(monkeypatch)
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=2)
+        report = run_protocol(source, target, FAST, k=3)
+        assert fits == [] and len(report.per_fold_accuracy) == 3
+
+    def test_no_worker_outlives_the_protocol(self, monkeypatch):
+        import multiprocessing
+
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=3)
+        run_protocol(source, target, FAST, k=3)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(InvalidInputError):
+            run_protocol(source, target, replace(FAST, eta=1e308, c1=0.01), k=3)
+        assert multiprocessing.active_children() == []
+
+    def test_the_pool_leaves_the_thread_count_it_found(self, monkeypatch):
+        # so that the next run (a sweep's next cell) may fork again
+        import os
+
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=3)
+        before = len(os.listdir("/proc/self/task"))
+        for _ in range(8):  # a thread that outlives its join does so now and then
+            run_protocol(source, target, FAST, k=2)
+            assert len(os.listdir("/proc/self/task")) == before
+
+    def test_non_finite_descent_raises_the_same_text(self, monkeypatch):
+        source, target = small_problem(seed=3)
+        hyper = replace(FAST, eta=1e308, c1=0.01)
+        texts = []
+        for workers in (2, 1):
+            fold_workers(monkeypatch, workers)
+            with pytest.raises(InvalidInputError, match=r" in fold \d+$") as caught:
+                run_protocol(source, target, hyper, k=3)
+            texts.append(str(caught.value))
+        assert texts[0] == texts[1]
+
+    def test_a_raising_on_fit_stops_the_pool(self, monkeypatch):
+        import multiprocessing
+
+        def on_fit(fold, report):
+            if fold == 1:
+                raise RuntimeError("stop")
+            seen.append(fold)
+
+        seen = []
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=4)
+        with pytest.raises(RuntimeError, match="^stop$"):
+            run_protocol(source, target, FAST, k=4, on_fit=on_fit)
+        assert seen == [0] and multiprocessing.active_children() == []
+
+    def test_a_threaded_process_keeps_its_folds(self):
+        import threading
+
+        from dtmil.evaluate import _fold_workers
+
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert _fold_workers(10) == 1
+        finally:
+            release.set()
+            thread.join()
+
+    def test_a_daemon_keeps_its_folds(self):
+        import multiprocessing
+
+        from dtmil.evaluate import _fold_workers
+
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(_fold_workers, (10,)) == 1
+
+    def test_import_loads_no_process_machinery(self):
+        import subprocess
+        import sys
+
+        import dtmil
+
+        src = str(Path(dtmil.__file__).parent.parent)
+        code = (f"import sys; sys.path.insert(0, {src!r}); import dtmil; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestSweep:
@@ -266,14 +413,8 @@ class TestSweep:
         assert [row["accuracy"] for row in rows] == report.per_fold_accuracy
 
     def test_rows_carry_capped_solves_without_a_callback(self, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
         source, target = small_problem(seed=7)
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+        capped_solves(monkeypatch)
         # the shared source model's capped solve is the one warning raised
         with pytest.warns(RuntimeWarning, match="sweep cap"):
             rows = sweep(source, target, replace(FAST, seed=0), [0.5, 1.0], [0.1], k=3)

@@ -193,6 +193,38 @@ class TestCodewordObjectiveAndGradient:
             rel = np.linalg.norm(fd - grad) / max(np.linalg.norm(grad), 1e-12)
             assert rel <= 1e-5
 
+    def test_rows_give_each_codewords_values(self):
+        rng = np.random.default_rng(3)
+        psi, u = rng.normal(size=(2, 5, 3))
+        objective = codeword_objective(psi, u, 0.7, 1.3)
+        gradient = codeword_gradient(psi, u, 0.7, 1.3)
+        for k in range(5):
+            assert objective[k] == codeword_objective(psi[k], u[k], 0.7, 1.3)
+            assert gradient[k].tobytes() == codeword_gradient(psi[k], u[k], 0.7, 1.3).tobytes()
+
+    @pytest.mark.parametrize("call", [codeword_objective, codeword_gradient])
+    def test_strings_and_bools_rejected(self, call):
+        with pytest.raises(InvalidInputError, match="^psi_k "):
+            call(["1.5"], ["2"], 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="^u "):
+            call([1.5], [True], 1.0, 1.0)
+
+    @pytest.mark.parametrize("call", [codeword_objective, codeword_gradient])
+    def test_shapes_must_match(self, call):
+        with pytest.raises(InvalidInputError, match=r"^psi_k \(2,\) and u \(3,\) must have the same shape$"):
+            call([1.0, 2.0], [1.0, 2.0, 3.0], 1.0, 1.0)
+        with pytest.raises(InvalidInputError, match="^psi_k .* same shape$"):
+            call([[1.0, 2.0]], [[1.0, 2.0], [3.0, 4.0]], 1.0, 1.0)
+
+    @pytest.mark.parametrize("call", [codeword_objective, codeword_gradient])
+    @pytest.mark.parametrize("c1, c2, name", [
+        (0.0, 1.0, "c1"), ("1", 1.0, "c1"), (True, 1.0, "c1"),
+        (1.0, -1.0, "c2"), (1.0, float("inf"), "c2"), (1.0, None, "c2"),
+    ])
+    def test_regularizers_follow_the_real_rule(self, call, c1, c2, name):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be a positive finite real"):
+            call([1.0], [1.0], c1, c2)
+
 
 def _reference_argmax(batch, codeword, seen):
     # the single-codeword argmax that BagBatch.argmax once was, plus a
