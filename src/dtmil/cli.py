@@ -138,14 +138,13 @@ def _cmd_protocol(args) -> int:
     hyper = _hyper_from_args(args)
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    report = run_protocol(
-        source,
-        target,
-        hyper,
-        args.folds,
-        conventional=args.conventional,
+    # fold warnings reach on_fit; a warning caught here is the shared source model's
+    report, caught = _capture_warnings(
+        run_protocol, source, target, hyper, args.folds, conventional=args.conventional,
         on_fit=lambda fold, rep: _print_fit_report(f"fold {fold}", rep, rounds=args.verbose),
     )
+    for message in caught:
+        _log(f"protocol: warning: {message}")
     # wall-clock timings stay out of the file so identical seeds produce
     # byte-identical reports
     doc = {
@@ -182,7 +181,9 @@ def _cmd_sweep(args) -> int:
     c2_grid = _parse_grid(args.c2_grid, "--c2")
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds)
+    rows, caught = _capture_warnings(sweep, source, target, hyper, c1_grid, c2_grid, args.folds)
+    for message in caught:
+        _log(f"sweep: warning: {message}")
     for row in rows:
         for warning in row["warnings"]:
             _log(f"c1={row['c1']} c2={row['c2']} fold {row['fold']}: warning: {warning}")

@@ -4,8 +4,8 @@ The cross-validation here is deliberately inverted: each fold serves as the
 *training* set while the remaining k-1 folds are tested, modeling a target
 domain where labeled data is scarce.  A conventional flag flips that around.
 Per-fold seeds derive from (seed, fold index), so fold work is
-order-independent: where the process can fork safely, the folds run in
-forked worker processes, with the same results, bit for bit, as in-process.
+order-independent: where the process can fork safely, a call's fold jobs
+run in one pool of forked workers, with in-process results, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import product
 
 import numpy as np
 
@@ -137,54 +138,97 @@ def _thread_count() -> int:
     return len(os.listdir("/proc/self/task"))
 
 
-def _fold_workers(k: int) -> int:
-    # how many processes may run k folds; 1 keeps them in this one.  A fork
-    # is safe only in a single-threaded process: a child of a process with a
-    # second thread (a multi-threaded BLAS, say) may deadlock on a lock that
-    # thread held, and those threads would compete with the workers for the
-    # cores anyway.  A multiprocessing daemon may not have children at all.
+def _fold_workers(jobs: int) -> int:
+    # how many processes may run the fold jobs; 1 keeps them in this one.  A
+    # fork is safe only in a single-threaded process: a child of a process
+    # with a second thread (a multi-threaded BLAS, say) may deadlock on a lock
+    # that thread held, and those threads would compete with the workers for
+    # the cores anyway.  A multiprocessing daemon may not have children at all.
     if sys.platform != "linux" or _thread_count() > 1:
         return 1
     mp = sys.modules.get("multiprocessing")
     if mp is not None and mp.current_process().daemon:
         return 1
-    return min(k, len(os.sched_getaffinity(0)))
+    return min(jobs, len(os.sched_getaffinity(0)))
 
 
-def _run_fold(fold: int):
-    return _FOLD(fold)
+def _run_fold(job: int):
+    return _FOLD(job)
 
 
 @contextmanager
-def _fold_results(run_fold, k: int):
-    # run_fold(0), ..., run_fold(k - 1) in fold order, from forked workers
-    # when _fold_workers allows; a raise cancels the folds not yet started,
-    # and no worker outlives the block
+def _fold_results(run_fold, jobs: int):
+    # run_fold(0), ..., run_fold(jobs - 1) in job order, from forked workers
+    # when _fold_workers allows; a raise stops every running job, and no
+    # worker outlives the block
     global _FOLD
-    workers = _fold_workers(k)
+    workers = _fold_workers(jobs)
     if workers < 2:
-        yield map(run_fold, range(k))
+        yield map(run_fold, range(jobs))
         return
     # imported here: multiprocessing alone adds about 2 MB to the process
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import signal
 
-    # with the fork context, the pool forks every worker at the first
-    # submit, before it starts a thread of its own
-    _FOLD, threads = run_fold, _thread_count()
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # the pool forks every worker before it starts a thread of its own; the
+    # workers ignore Ctrl-C, so that the caller's terminate() ends them quietly
+    _FOLD, threads, others = run_fold, _thread_count(), multiprocessing.active_children()
+    pool = multiprocessing.get_context("fork").Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+    forked = [p for p in multiprocessing.active_children() if p not in others]
+
+    def wait(results):
+        # the pool replaces a worker that dies, but would wait forever for its job
+        while all(p.exitcode is None for p in forked):
+            try:
+                return results.next(0.1)
+            except multiprocessing.TimeoutError:
+                pass
+        raise RuntimeError("a fold worker process ended abruptly")
+
     try:
-        futures = [pool.submit(_run_fold, fold) for fold in range(k)]
-        yield (future.result() for future in futures)
+        results = pool.imap(_run_fold, range(jobs))
+        yield (wait(results) for _ in range(jobs))
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.terminate()
         _FOLD = None
         # the pool's threads are joined, but leave the OS up to milliseconds
-        # later; wait for that, so that a run right after this one (a sweep's
-        # next cell) finds the thread count it started with and forks again
+        # later; wait for that, so that a run right after this one (a second
+        # run_protocol call) finds the thread count it started with and forks
         deadline = time.monotonic() + 1.0
         while _thread_count() > threads and time.monotonic() < deadline:
             time.sleep(0.0005)
+
+
+def _source_model(source: list[Bag], hyper: Hyperparams) -> SourceModel:
+    return train_source(source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE))
+
+
+def _fold_jobs(target, split, hypers, source_model, conventional=False, on_fit=None):
+    # fold f under hypers[c] is job c*k + f; returns each job's (adapted,
+    # source-only, target-only accuracy, FitReport) in job order, calling
+    # on_fit(f, report) on each as it comes
+    def run_job(job: int) -> tuple[float, float, float, FitReport]:
+        hyper, fold = hypers[job // split.k], job % split.k
+        inside, outside = split.partition(target, fold)
+        train, test = (outside, inside) if conventional else (inside, outside)
+        fold_hyper = replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold))
+        try:
+            model, report = fit_dtc(train, source_model, fold_hyper)
+        except InvalidInputError as err:
+            raise InvalidInputError(f"{err} in fold {fold}") from err
+        # every fold's capped baseline reaches its own report
+        seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
+        target_acc, caught = _capture_warnings(_target_only_accuracy, train, test, hyper, seed)
+        report.warnings.extend(f"target-only baseline: {message}" for message in caught)
+        return accuracy(model, test), accuracy(source_model, test), target_acc, report
+
+    results = []
+    with _fold_results(run_job, len(hypers) * split.k) as jobs:
+        for job, result in enumerate(jobs):
+            if on_fit is not None:
+                on_fit(job % split.k, result[3])
+            results.append(result)
+    return results
 
 
 def run_protocol(
@@ -211,37 +255,16 @@ def run_protocol(
     returned report gathers those warnings too, so no caller needs ``on_fit``
     to see them.  An ``InvalidInputError`` from a fold's fit names the fold.
 
-    The folds may run in forked worker processes (see ``_fold_workers``);
-    ``on_fit`` still runs in the caller, in fold order, and the report and
-    every ``FitReport`` are the same either way.
+    The folds may run in one pool of ``min(k, CPUs)`` forked workers (see
+    ``_fold_workers``); ``on_fit`` still runs in the caller, in fold order,
+    and the report and every ``FitReport`` are the same either way.  A
+    raise, from a fold or ``on_fit``, or a Ctrl-C stops every running fold;
+    a worker that dies mid-fold raises ``RuntimeError``.
     """
     split = split_folds(target, k, hyper.seed)
     if source_model is None:
-        source_model = train_source(
-            source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE)
-        )
-
-    def run_fold(fold: int) -> tuple[float, float, float, FitReport]:
-        inside, outside = split.partition(target, fold)
-        train, test = (outside, inside) if conventional else (inside, outside)
-        fold_hyper = replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold))
-        try:
-            model, report = fit_dtc(train, source_model, fold_hyper)
-        except InvalidInputError as err:
-            raise InvalidInputError(f"{err} in fold {fold}") from err
-        # every fold's capped baseline reaches its own report
-        seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
-        target_acc, caught = _capture_warnings(_target_only_accuracy, train, test, hyper, seed)
-        report.warnings.extend(f"target-only baseline: {message}" for message in caught)
-        return accuracy(model, test), accuracy(source_model, test), target_acc, report
-
-    results = []
-    with _fold_results(run_fold, split.k) as folds:
-        for fold, result in enumerate(folds):
-            if on_fit is not None:
-                on_fit(fold, result[3])
-            results.append(result)
-
+        source_model = _source_model(source, hyper)
+    results = _fold_jobs(target, split, [hyper], source_model, conventional, on_fit)
     per_fold = [r[0] for r in results]
     return ProtocolReport(
         per_fold_accuracy=per_fold,
@@ -266,29 +289,19 @@ def sweep(
 
     The source model is trained once from ``base_hyper`` and shared across
     all grid cells, so the sweep varies only the adaptation regularizers;
-    every cell takes its seed from ``base_hyper.seed``.  A row's
-    ``warnings`` is that fold's entry of ``ProtocolReport.per_fold_warnings``.
+    every cell takes its seed from ``base_hyper.seed``.  A row's accuracy
+    and ``warnings`` are its fold's in ``run_protocol`` for its cell, and all
+    (cell, fold) jobs share one pool of ``min(cells * k, CPUs)`` workers.
     """
     if not c1_grid or not c2_grid:
         raise InvalidInputError("c1 and c2 grids must be nonempty")
-    shared_model = train_source(
-        source, base_hyper.kappa, base_hyper.c1, derive_seed(base_hyper.seed, _SEED_SOURCE)
-    )
-    rows: list[dict] = []
-    for c1 in c1_grid:
-        for c2 in c2_grid:
-            report = run_protocol(source, target, replace(base_hyper, c1=c1, c2=c2), k, shared_model)
-            for fold, acc in enumerate(report.per_fold_accuracy):
-                rows.append(
-                    {
-                        "c1": c1,
-                        "c2": c2,
-                        "fold": fold,
-                        "accuracy": acc,
-                        "warnings": report.per_fold_warnings[fold],
-                    }
-                )
-    return rows
+    hypers = [replace(base_hyper, c1=c1, c2=c2) for c1 in c1_grid for c2 in c2_grid]
+    split = split_folds(target, k, base_hyper.seed)
+    results = _fold_jobs(target, split, hypers, _source_model(source, base_hyper))
+    return [
+        {"c1": hyper.c1, "c2": hyper.c2, "fold": fold, "accuracy": acc, "warnings": report.warnings}
+        for (hyper, fold), (acc, _, _, report) in zip(product(hypers, range(k)), results)
+    ]
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

@@ -333,15 +333,16 @@ class TestProtocolCommand:
         quiet = str(tmp_path / "q.json")
         loud = str(tmp_path / "l.json")
         capsys.readouterr()
-        # the shared source model's capped solve warns once per run
-        with pytest.warns(RuntimeWarning, match="sweep cap"):
-            assert run(args + ["--out", quiet]) == 0
+        assert run(args + ["--out", quiet]) == 0
         captured = capsys.readouterr()
         assert "fold 0: warning: outer round 1: dual solve stopped at its sweep cap" in captured.err
         assert "outer 1: dual" not in captured.err  # round values stay behind --verbose
+        # the shared source model's capped solve is a plain line too
+        assert "protocol: warning: source training: dual solve stopped at its sweep cap" in captured.err
+        assert "evaluate.py:" not in captured.err
         assert captured.out == ""
-        with pytest.warns(RuntimeWarning, match="sweep cap"):
-            assert run(args + ["--out", loud, "--verbose"]) == 0
+        assert run(args + ["--out", loud, "--verbose"]) == 0
+        assert "evaluate.py:" not in capsys.readouterr().err
         assert Path(quiet).read_bytes() == Path(loud).read_bytes()
 
     def test_names_each_folds_capped_baseline(self, workdir, capsys, monkeypatch):
@@ -355,14 +356,15 @@ class TestProtocolCommand:
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         capsys.readouterr()
-        with pytest.warns(RuntimeWarning, match="sweep cap"):
-            assert run(["protocol", "--source", src, "--target", tgt, "--folds", "3",
-                        "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
-                        "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
+        assert run(["protocol", "--source", src, "--target", tgt, "--folds", "3",
+                    "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
+                    "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
         err = capsys.readouterr().err
         for fold in range(3):
             assert (f"fold {fold}: warning: target-only baseline: "
                     "source training: dual solve stopped at its sweep cap") in err
+        assert "protocol: warning: source training: dual solve stopped at its sweep cap" in err
+        assert "evaluate.py:" not in err
 
 
 class TestSweepCommand:
@@ -389,16 +391,17 @@ class TestSweepCommand:
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         capsys.readouterr()
-        with pytest.warns(RuntimeWarning, match="sweep cap"):
-            assert run(["sweep", "--source", src, "--target", tgt,
-                        "--c1", "0.5", "--c2", "0.1", "--folds", "3",
-                        "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
-                        "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 0
+        assert run(["sweep", "--source", src, "--target", tgt,
+                    "--c1", "0.5", "--c2", "0.1", "--folds", "3",
+                    "--kappa", "3", "--inner-iters", "2", "--max-outer", "2",
+                    "--seed", "1", "--out", str(tmp_path / "s.csv")]) == 0
         captured = capsys.readouterr()
         for fold in range(3):
             assert (f"c1=0.5 c2=0.1 fold {fold}: warning: outer round 1: "
                     "dual solve stopped at its sweep cap") in captured.err
         assert "outer 1: dual" not in captured.err
+        assert "sweep: warning: source training: dual solve stopped at its sweep cap" in captured.err
+        assert "evaluate.py:" not in captured.err
         assert captured.out == ""
 
     def test_bad_grid_exits_1(self, workdir):

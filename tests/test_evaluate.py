@@ -4,6 +4,7 @@ import csv
 import io
 import re
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from dtmil import (
     train_source,
 )
 from dtmil.data import SynthConfig
-from dtmil.evaluate import sweep_rows_to_csv
+from dtmil.evaluate import _SEED_FIT, _SEED_SOURCE, derive_seed, sweep_rows_to_csv
 
 
 def labeled_bags(n, d=2, seed=0, balanced=True):
@@ -326,7 +327,7 @@ class TestFoldWorkers:
         assert multiprocessing.active_children() == []
 
     def test_the_pool_leaves_the_thread_count_it_found(self, monkeypatch):
-        # so that the next run (a sweep's next cell) may fork again
+        # so that a second run_protocol call may fork again
         import os
 
         fold_workers(monkeypatch, 2)
@@ -361,6 +362,62 @@ class TestFoldWorkers:
         with pytest.raises(RuntimeError, match="^stop$"):
             run_protocol(source, target, FAST, k=4, on_fit=on_fit)
         assert seen == [0] and multiprocessing.active_children() == []
+
+    def test_a_raise_stops_the_running_folds(self, monkeypatch):
+        # fold 0 fails at once, while the fold the other worker runs would
+        # take 30 s: the raise must not wait for it
+        import multiprocessing
+        import time
+
+        import dtmil.evaluate
+
+        first = derive_seed(FAST.seed, _SEED_FIT, 0)
+
+        def fit(train, source_model, hyper):
+            if hyper.seed == first:
+                raise InvalidInputError("stop")
+            time.sleep(30)
+
+        monkeypatch.setattr(dtmil.evaluate, "fit_dtc", fit)
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=4)
+        start = time.monotonic()
+        with pytest.raises(InvalidInputError, match="^stop in fold 0$"):
+            run_protocol(source, target, FAST, k=4)
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_fails_the_call(self, monkeypatch):
+        # the pool replaces a killed worker, and without a check would wait
+        # for the killed worker's fold forever; the alarm bounds that wait
+        import multiprocessing
+        import os
+        import signal
+
+        import dtmil.evaluate
+
+        real, first = dtmil.evaluate.fit_dtc, derive_seed(FAST.seed, _SEED_FIT, 0)
+
+        def fit(train, source_model, hyper):
+            if hyper.seed == first:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(train, source_model, hyper)
+
+        def hung(signum, frame):
+            raise AssertionError("run_protocol still waits for the killed worker's fold")
+
+        monkeypatch.setattr(dtmil.evaluate, "fit_dtc", fit)
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=4)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            with pytest.raises(RuntimeError, match="abruptly"):
+                run_protocol(source, target, FAST, k=4)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_a_threaded_process_keeps_its_folds(self):
         import threading
@@ -405,12 +462,55 @@ class TestSweep:
         assert [row["fold"] for row in rows[:3]] == [0, 1, 2]
         assert rows[0]["c1"] == 0.5 and rows[-1]["c1"] == 1.0
 
-    def test_single_cell_matches_direct_protocol(self):
+    @forks
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_each_cell_matches_direct_protocol(self, monkeypatch, workers):
+        import dtmil.evaluate
+
+        real, entered = dtmil.evaluate._fold_results, []
+
+        def counted(*args):
+            entered.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(dtmil.evaluate, "_fold_results", counted)
+        fold_workers(monkeypatch, workers)
+        capped_solves(monkeypatch)  # so that every row carries warnings
         source, target = small_problem(seed=8)
         hyper = replace(FAST, seed=5)
-        rows = sweep(source, target, hyper, [FAST.c1], [FAST.c2], k=3)
-        report = run_protocol(source, target, hyper, k=3)
-        assert [row["accuracy"] for row in rows] == report.per_fold_accuracy
+        c1_grid, c2_grid = [0.5, 1.0], [0.1, 1.0]
+        # the shared source model's capped solve warns the library caller
+        with pytest.warns(RuntimeWarning, match="sweep cap"):
+            rows = sweep(source, target, hyper, c1_grid, c2_grid, k=3)
+            shared = train_source(source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE))
+        assert entered == [2 * 2 * 3]  # one pass over every (cell, fold) job
+        for c1, c2 in product(c1_grid, c2_grid):
+            report = run_protocol(source, target, replace(hyper, c1=c1, c2=c2), k=3, source_model=shared)
+            cell = [row for row in rows if (row["c1"], row["c2"]) == (c1, c2)]
+            assert [row["fold"] for row in cell] == [0, 1, 2]
+            assert [row["accuracy"] for row in cell] == report.per_fold_accuracy
+            assert [row["warnings"] for row in cell] == report.per_fold_warnings
+            assert all(row["warnings"] for row in cell)
+
+    @forks
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_a_fit_failing_in_the_second_cell_names_its_fold(self, monkeypatch, workers):
+        import dtmil.evaluate
+
+        real, hyper = dtmil.evaluate.fit_dtc, replace(FAST, seed=5)
+        failing = derive_seed(hyper.seed, _SEED_FIT, 1)
+
+        def fit(train, source_model, fold_hyper):
+            if fold_hyper.c1 == 1.0 and fold_hyper.seed == failing:
+                raise InvalidInputError("no fit")
+            return real(train, source_model, fold_hyper)
+
+        monkeypatch.setattr(dtmil.evaluate, "fit_dtc", fit)
+        fold_workers(monkeypatch, workers)
+        source, target = small_problem(seed=8)
+        with pytest.raises(InvalidInputError) as caught:
+            sweep(source, target, hyper, [0.5, 1.0], [0.1], k=3)
+        assert str(caught.value) == "no fit in fold 1"
 
     def test_rows_carry_capped_solves_without_a_callback(self, monkeypatch):
         source, target = small_problem(seed=7)
@@ -424,10 +524,18 @@ class TestSweep:
             assert set(row) == {"c1", "c2", "fold", "accuracy", "warnings"}
             assert capped in row["warnings"]
 
-    def test_empty_grid_rejected(self):
+    @pytest.mark.parametrize("c1_grid, k", [([], 3), ([-1.0], 3), ([1.0], 21)],
+                             ids=["empty-grid", "negative-c1", "more-folds-than-bags"])
+    def test_rejected_before_the_source_model_trains(self, monkeypatch, c1_grid, k):
+        import dtmil.evaluate
+
+        trained = []
+        monkeypatch.setattr(dtmil.evaluate, "train_source", lambda *args: trained.append(args))
         source, target = small_problem(seed=9)
+        assert len(target) == 20
         with pytest.raises(InvalidInputError):
-            sweep(source, target, replace(FAST, seed=0), [], [1.0], k=3)
+            sweep(source, target, replace(FAST, seed=0), c1_grid, [1.0], k=k)
+        assert trained == []
 
     def test_csv_format(self):
         rows = [
