@@ -280,13 +280,12 @@ class BagBatch:
             raise InvalidInputError(
                 f"bags have dimension {self.dim} but dictionary has dimension {dictionary.dim}"
             )
-        # row k holds every instance's dot with codeword k, so that the
-        # per-bag reductions run along contiguous rows
-        dots = np.empty((dictionary.size, self.instances.shape[0]))
+        # one codeword's M dots at a time, reduced to bag maxima at once: no
+        # (K, M) array exists; C order, so scoring sums each bag's row one way
+        features = np.empty((len(self), dictionary.size))
         for k, word in enumerate(dictionary.codewords):
-            dots[k] = _instance_dots(self.instances, word)
-        # a C-order copy, so that scoring sums each bag's row in one order
-        return np.ascontiguousarray(np.maximum.reduceat(dots, self.starts, axis=1).T)
+            features[:, k] = np.maximum.reduceat(_instance_dots(self.instances, word), self.starts)
+        return features
 
     @cached_property
     def _bag_norms(self) -> np.ndarray:

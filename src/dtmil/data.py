@@ -4,10 +4,11 @@ Datasets are UTF-8 JSON lines, one bag per line:
 
     {"id": "b1", "label": 1, "instances": [[1.0, 2.0], [0.5, -1.0]]}
 
-Blank lines are ignored; anything else that deviates is an error.  Models are
-a single JSON document with a pinned ``format_version``; a source-only model
-stores null for the adaptation fields.  Numbers are serialized with full
-round-trip precision, so save/load is bit-exact.
+Blank lines are ignored; anything else that deviates is an error.  A dataset
+is written one bag line at a time, never held whole.  Models are a single
+JSON document with a pinned ``format_version``; a source-only model stores
+null for the adaptation fields.  Numbers are serialized with full round-trip
+precision, so save/load is bit-exact.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -37,16 +39,17 @@ _BAG_KEYS = {"id", "label", "instances"}
 _HYPER_KEYS = {f.name for f in fields(Hyperparams)}
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename, so a
-    failure never leaves a partial output file behind."""
+@contextmanager
+def _atomic_output(path: str):
+    # a handle on a temporary file beside ``path``, renamed over it on success
+    # and removed on any error, which leaves ``path`` as it was
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     # mode 0o666 through the umask, as for any new file; mkstemp forces 0o600
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp_path, path)
     except BaseException:
         try:
@@ -54,6 +57,13 @@ def write_text_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_text_atomic(path: str, text: str) -> None:
+    """Write via a temporary file in the target directory, then rename, so a
+    failure never leaves a partial output file behind."""
+    with _atomic_output(path) as handle:
+        handle.write(text)
 
 
 def load_dataset(path: str) -> list[Bag]:
@@ -110,11 +120,10 @@ def save_dataset(bags: list[Bag], path: str) -> None:
         raise InvalidInputError("bag ids must be unique within a dataset file")
     if len({bag.dim for bag in bags}) != 1:
         raise InvalidInputError("bags in a dataset file must share one dimension")
-    lines = [
-        json.dumps({"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()})
-        for bag in bags
-    ]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    with _atomic_output(path) as handle:
+        for bag in bags:
+            record = {"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()}
+            handle.write(json.dumps(record) + "\n")
 
 
 def _hyper_from_dict(raw, path: str) -> Hyperparams:

@@ -203,11 +203,12 @@ def _source_model(source: list[Bag], hyper: Hyperparams) -> SourceModel:
     return train_source(source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE))
 
 
-def _fold_jobs(target, split, hypers, source_model, conventional=False, on_fit=None):
+def _fold_jobs(target, split, hypers, source_model, conventional=False, on_fit=None, baselines=True):
     # fold f under hypers[c] is job c*k + f; returns each job's (adapted,
     # source-only, target-only accuracy, FitReport) in job order, calling
-    # on_fit(f, report) on each as it comes
-    def run_job(job: int) -> tuple[float, float, float, FitReport]:
+    # on_fit(f, report) on each as it comes; without baselines, both
+    # baseline accuracies are None and the report is the fit's own
+    def run_job(job: int) -> tuple[float, float | None, float | None, FitReport]:
         hyper, fold = hypers[job // split.k], job % split.k
         inside, outside = split.partition(target, fold)
         train, test = (outside, inside) if conventional else (inside, outside)
@@ -216,6 +217,8 @@ def _fold_jobs(target, split, hypers, source_model, conventional=False, on_fit=N
             model, report = fit_dtc(train, source_model, fold_hyper)
         except InvalidInputError as err:
             raise InvalidInputError(f"{err} in fold {fold}") from err
+        if not baselines:
+            return accuracy(model, test), None, None, report
         # every fold's capped baseline reaches its own report
         seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
         target_acc, caught = _capture_warnings(_target_only_accuracy, train, test, hyper, seed)
@@ -290,14 +293,15 @@ def sweep(
     The source model is trained once from ``base_hyper`` and shared across
     all grid cells, so the sweep varies only the adaptation regularizers;
     every cell takes its seed from ``base_hyper.seed``.  A row's accuracy
-    and ``warnings`` are its fold's in ``run_protocol`` for its cell, and all
+    is its fold's in ``run_protocol`` for its cell, and its ``warnings``
+    are that fold's fit warnings; no baseline is trained or scored.  All
     (cell, fold) jobs share one pool of ``min(cells * k, CPUs)`` workers.
     """
     if not c1_grid or not c2_grid:
         raise InvalidInputError("c1 and c2 grids must be nonempty")
     hypers = [replace(base_hyper, c1=c1, c2=c2) for c1 in c1_grid for c2 in c2_grid]
     split = split_folds(target, k, base_hyper.seed)
-    results = _fold_jobs(target, split, hypers, _source_model(source, base_hyper))
+    results = _fold_jobs(target, split, hypers, _source_model(source, base_hyper), baselines=False)
     return [
         {"c1": hyper.c1, "c2": hyper.c2, "fold": fold, "accuracy": acc, "warnings": report.warnings}
         for (hyper, fold), (acc, _, _, report) in zip(product(hypers, range(k)), results)

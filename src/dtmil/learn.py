@@ -254,6 +254,8 @@ def fit_dtc(
         report.primal_values.append(
             _primal_from_cache(source_scores, z, recover_w(beta, prob), labels, psi, hyper)
         )
+        # release this round's n x n Gram, so that the next one never meets it
+        del prob
         try:
             psi = update_codeword(psi, batch, beta, labels, hyper)
         except InvalidInputError as err:

@@ -400,6 +400,8 @@ class TestSweepCommand:
             assert (f"c1=0.5 c2=0.1 fold {fold}: warning: outer round 1: "
                     "dual solve stopped at its sweep cap") in captured.err
         assert "outer 1: dual" not in captured.err
+        # the sweep reports no baseline, so it trains none to warn about
+        assert "target-only baseline" not in captured.err
         assert "sweep: warning: source training: dual solve stopped at its sweep cap" in captured.err
         assert "evaluate.py:" not in captured.err
         assert captured.out == ""

@@ -341,6 +341,16 @@ class TestBagBatch:
         with pytest.raises(InvalidInputError, match="dimension 3, expected 2"):
             BagBatch([bag([1.0, 2.0]), bag([1.0, 2.0, 3.0])])
 
+    def test_embed_holds_one_codewords_dots(self, traced_peak):
+        rng = np.random.default_rng(3)
+        batch = BagBatch(
+            [Bag(id=f"b{i}", instances=rng.normal(size=(int(rng.integers(40, 81)), 10))) for i in range(200)]
+        )
+        words = Dictionary(codewords=rng.normal(size=(50, 10)))
+        peak = traced_peak(batch.embed, words)
+        # all K x M codeword-instance dots at once would be K * M * 8 bytes
+        assert peak < 50 * batch.instances.shape[0] * 8 / 2
+
     def test_embed_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             BagBatch([bag([1.0, 2.0])]).embed(Dictionary(codewords=[[1.0, 0.0, 0.0]]))

@@ -63,6 +63,48 @@ class TestWriteTextAtomic:
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
+def wide_bags(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return [
+        Bag(id=f"b{i}", label=1 - 2 * (i % 2), instances=rng.normal(size=(int(rng.integers(40, 81)), 10)))
+        for i in range(n)
+    ]
+
+
+class TestSaveDatasetStreams:
+    """save_dataset writes each bag's line as it encodes it."""
+
+    def test_peak_memory_is_a_small_share_of_the_file(self, tmp_path, traced_peak):
+        path = str(tmp_path / "wide.jsonl")
+        bags = wide_bags(200)
+        peak = traced_peak(save_dataset, bags, path)
+        # a file held whole, as a line list, joined, and with its newline, is 3x
+        assert peak < os.path.getsize(path) / 4
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_encoding_error_leaves_no_file_and_the_old_one_intact(self, tmp_path, monkeypatch, existing):
+        import dtmil.data
+
+        path = tmp_path / "out.jsonl"
+        if existing:
+            path.write_text("old contents\n")
+        real, calls = dtmil.data.json.dumps, []
+
+        def fails_on_third_bag(obj, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("cannot encode bag 3")
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(dtmil.data.json, "dumps", fails_on_third_bag)
+        with pytest.raises(ValueError, match="bag 3"):
+            save_dataset(wide_bags(5), str(path))
+        assert len(calls) == 3
+        assert [p.name for p in tmp_path.iterdir()] == (["out.jsonl"] if existing else [])
+        if existing:
+            assert path.read_text() == "old contents\n"
+
+
 class TestDatasetIO:
     def test_single_record(self, tmp_path):
         path = tmp_path / "one.jsonl"

@@ -462,6 +462,21 @@ class TestSweep:
         assert [row["fold"] for row in rows[:3]] == [0, 1, 2]
         assert rows[0]["c1"] == 0.5 and rows[-1]["c1"] == 1.0
 
+    def test_trains_and_scores_no_baseline(self, monkeypatch):
+        import dtmil.evaluate
+
+        def refuse(*args):
+            raise AssertionError("sweep discards the baselines")
+
+        fold_workers(monkeypatch, 1)
+        monkeypatch.setattr(dtmil.evaluate, "_target_only_accuracy", refuse)
+        real, scored = dtmil.evaluate.accuracy, []
+        monkeypatch.setattr(dtmil.evaluate, "accuracy", lambda m, b: scored.append(m) or real(m, b))
+        source, target = small_problem(seed=7)
+        rows = sweep(source, target, replace(FAST, seed=0), [0.5], [0.1, 1.0], k=3)
+        # one adapted model scored per job, and no source-only baseline
+        assert len(rows) == len(scored) == 2 * 3
+
     @forks
     @pytest.mark.parametrize("workers", [2, 1])
     def test_each_cell_matches_direct_protocol(self, monkeypatch, workers):
@@ -489,7 +504,10 @@ class TestSweep:
             cell = [row for row in rows if (row["c1"], row["c2"]) == (c1, c2)]
             assert [row["fold"] for row in cell] == [0, 1, 2]
             assert [row["accuracy"] for row in cell] == report.per_fold_accuracy
-            assert [row["warnings"] for row in cell] == report.per_fold_warnings
+            # a row carries its fit's warnings; the sweep trains no baseline
+            fits = [[w for w in ws if not w.startswith("target-only baseline: ")]
+                    for ws in report.per_fold_warnings]
+            assert [row["warnings"] for row in cell] == fits
             assert all(row["warnings"] for row in cell)
 
     @forks

@@ -557,6 +557,14 @@ def toy_source(d=2):
 
 
 class TestFitDTC:
+    def test_holds_one_gram_at_a_time(self, traced_peak):
+        cfg = SynthConfig(d=4, bags_per_class_source=20, bags_per_class_target=150, instances_per_bag=(2, 4))
+        source, target = generate_synthetic(cfg, 3)
+        model = train_source(source, 5, 1.0, 0)
+        peak = traced_peak(fit_dtc, target, model, Hyperparams(kappa=5, inner_iters=2, max_outer=2, seed=0))
+        # one n x n Gram is n * n * 8 bytes; two at once would pass 2x
+        assert peak < 1.75 * len(target) ** 2 * 8
+
     def test_rejects_empty_and_unlabeled(self):
         with pytest.raises(InvalidInputError):
             fit_dtc([], toy_source(), Hyperparams())
