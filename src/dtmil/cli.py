@@ -87,7 +87,11 @@ def _print_fit_report(label: str, report: FitReport, rounds: bool = True) -> Non
 def _cmd_synth(args) -> int:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = SynthConfig.from_dict(json.load(handle))
+            try:
+                raw = json.load(handle)
+            except UnicodeDecodeError as exc:
+                raise InvalidInputError(f"{args.config}: not UTF-8 text ({exc.reason})") from exc
+        config = SynthConfig.from_dict(raw)
     else:
         config = SynthConfig()
     source, target = generate_synthetic(config, args.seed)

@@ -71,13 +71,15 @@ def load_dataset(path: str) -> list[Bag]:
     bags: list[Bag] = []
     seen_ids: set[str] = set()
     dim: int | None = None
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DatasetFormatError(f"{where}: not UTF-8 text ({exc.reason})") from exc
             except json.JSONDecodeError as exc:
                 raise DatasetFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
             if not isinstance(record, dict):
@@ -165,6 +167,8 @@ def load_model(path: str) -> SourceModel | AdaptedModel:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
     if not isinstance(doc, dict):

@@ -5,7 +5,7 @@ The cross-validation here is deliberately inverted: each fold serves as the
 domain where labeled data is scarce.  A conventional flag flips that around.
 Per-fold seeds derive from (seed, fold index), so fold work is
 order-independent: where the process can fork safely, a call's fold jobs
-run in one pool of forked workers, with in-process results, bit for bit.
+run in forked worker processes, with in-process results, bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import os
+import pickle
+import signal
 import sys
-import time
-from contextlib import contextmanager
+import traceback
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -40,10 +42,6 @@ SWEEP_CSV_HEADER = ("c1", "c2", "fold", "accuracy")
 
 # stream tags keeping derived seeds disjoint across uses
 _SEED_SOURCE, _SEED_FIT, _SEED_TARGET_ONLY = 0, 1, 2
-
-# the fold function of the running pool, handed to its workers by the fork
-# itself, so that no bag is pickled; set only while the pool runs
-_FOLD = None
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -134,69 +132,60 @@ def _target_only_accuracy(train: list[Bag], test: list[Bag], hyper: Hyperparams,
     return accuracy(model, test)
 
 
-def _thread_count() -> int:
-    return len(os.listdir("/proc/self/task"))
-
-
 def _fold_workers(jobs: int) -> int:
-    # how many processes may run the fold jobs; 1 keeps them in this one.  A
-    # fork is safe only in a single-threaded process: a child of a process
-    # with a second thread (a multi-threaded BLAS, say) may deadlock on a lock
-    # that thread held, and those threads would compete with the workers for
-    # the cores anyway.  A multiprocessing daemon may not have children at all.
-    if sys.platform != "linux" or _thread_count() > 1:
-        return 1
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.current_process().daemon:
+    # how many processes may run the fold jobs; 1 keeps them in this one.  Only
+    # a single-threaded process forks: a child may deadlock on a lock another
+    # thread (a multi-threaded BLAS, say) held, and would share its cores anyway
+    if sys.platform != "linux" or len(os.listdir("/proc/self/task")) > 1:
         return 1
     return min(jobs, len(os.sched_getaffinity(0)))
 
 
-def _run_fold(job: int):
-    return _FOLD(job)
+def _work(run_fold, jobs, out) -> None:
+    # a forked worker: each result goes out as its job ends, a raise last; never returns
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
+        for job in jobs:
+            pickle.dump((True, run_fold(job)), out)
+            out.flush()
+    except Exception as err:
+        pickle.dump((False, (err, traceback.format_exc())), out)
+        out.flush()
+    finally:
+        os._exit(0)
 
 
 @contextmanager
 def _fold_results(run_fold, jobs: int):
-    # run_fold(0), ..., run_fold(jobs - 1) in job order, from forked workers
-    # when _fold_workers allows; a raise stops every running job, and no
-    # worker outlives the block
-    global _FOLD
+    # run_fold(0), ..., run_fold(jobs - 1) in job order, from w forked workers if
+    # _fold_workers allows: worker c runs jobs c, c + w, ..., sending job j down
+    # pipe j % w.  No worker outlives the block, and no thread is ever started
     workers = _fold_workers(jobs)
     if workers < 2:
         yield map(run_fold, range(jobs))
         return
-    # imported here: multiprocessing alone adds about 2 MB to the process
-    import multiprocessing
-    import signal
+    pipes = []
 
-    # the pool forks every worker before it starts a thread of its own; the
-    # workers ignore Ctrl-C, so that the caller's terminate() ends them quietly
-    _FOLD, threads, others = run_fold, _thread_count(), multiprocessing.active_children()
-    pool = multiprocessing.get_context("fork").Pool(workers, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-    forked = [p for p in multiprocessing.active_children() if p not in others]
-
-    def wait(results):
-        # the pool replaces a worker that dies, but would wait forever for its job
-        while all(p.exitcode is None for p in forked):
+    def results():
+        for job in range(jobs):
             try:
-                return results.next(0.1)
-            except multiprocessing.TimeoutError:
-                pass
-        raise RuntimeError("a fold worker process ended abruptly")
+                ok, value = pickle.load(pipes[job % workers])
+            except (EOFError, pickle.UnpicklingError):  # nothing, or a cut-off result
+                raise RuntimeError("a fold worker process ended abruptly") from None
+            if not ok:  # raised with the worker's traceback as its cause
+                raise value[0] from RuntimeError(f"in a fold worker:\n{value[1]}")
+            yield value
 
-    try:
-        results = pool.imap(_run_fold, range(jobs))
-        yield (wait(results) for _ in range(jobs))
-    finally:
-        pool.terminate()
-        _FOLD = None
-        # the pool's threads are joined, but leave the OS up to milliseconds
-        # later; wait for that, so that a run right after this one (a second
-        # run_protocol call) finds the thread count it started with and forks
-        deadline = time.monotonic() + 1.0
-        while _thread_count() > threads and time.monotonic() < deadline:
-            time.sleep(0.0005)
+    with ExitStack() as stack:  # on the way out: kill and reap each worker, close its pipe
+        for c in range(workers):
+            read, write = os.pipe()
+            pipes.append(stack.enter_context(open(read, "rb")))
+            with open(write, "wb") as out:  # closed here at once: EOF means the worker is gone
+                if (pid := os.fork()) == 0:
+                    _work(run_fold, range(c, jobs, workers), out)
+            stack.callback(os.waitpid, pid, 0)
+            stack.callback(os.kill, pid, signal.SIGKILL)
+        yield results()
 
 
 def _source_model(source: list[Bag], hyper: Hyperparams) -> SourceModel:
@@ -258,8 +247,8 @@ def run_protocol(
     returned report gathers those warnings too, so no caller needs ``on_fit``
     to see them.  An ``InvalidInputError`` from a fold's fit names the fold.
 
-    The folds may run in one pool of ``min(k, CPUs)`` forked workers (see
-    ``_fold_workers``); ``on_fit`` still runs in the caller, in fold order,
+    The folds may run in ``min(k, CPUs)`` forked workers (``_fold_workers``);
+    ``on_fit`` still runs in the caller, in fold order, as each fold ends,
     and the report and every ``FitReport`` are the same either way.  A
     raise, from a fold or ``on_fit``, or a Ctrl-C stops every running fold;
     a worker that dies mid-fold raises ``RuntimeError``.
@@ -295,7 +284,7 @@ def sweep(
     every cell takes its seed from ``base_hyper.seed``.  A row's accuracy
     is its fold's in ``run_protocol`` for its cell, and its ``warnings``
     are that fold's fit warnings; no baseline is trained or scored.  All
-    (cell, fold) jobs share one pool of ``min(cells * k, CPUs)`` workers.
+    (cell, fold) jobs share one set of ``min(cells * k, CPUs)`` workers.
     """
     if not c1_grid or not c2_grid:
         raise InvalidInputError("c1 and c2 grids must be nonempty")

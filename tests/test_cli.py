@@ -17,7 +17,7 @@ from dtmil import (
     load_dataset,
     save_dataset,
 )
-from dtmil.cli import _build_parser, _hyper_from_args, main
+from dtmil.cli import _build_parser, _hyper_from_args, main, run_cli
 
 
 CAPPED_SOURCE_LINE = (
@@ -161,6 +161,41 @@ class TestValidationErrors:
                  "synth": ["--out-source", str(tmp_path / "s.jsonl"), "--out-target", str(tmp_path / "t.jsonl")]}
         assert run([command, "--seed", "-1", *paths[command]]) == 1
         assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
+class TestNonUtf8Inputs:
+    """A file that is not UTF-8 is a validation error naming the file."""
+
+    def test_dataset_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "latin1.jsonl"
+        save_dataset([Bag(id="a", label=1, instances=[[1.0]])], str(data))
+        with open(data, "ab") as handle:
+            handle.write('{"id": "\u00e9", "label": -1, "instances": [[2.0]]}\n'.encode("latin-1"))
+        out = tmp_path / "m.json"
+        assert run_cli(["train-source", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {data}:2: not UTF-8 text (invalid continuation byte)\n"
+        assert not out.exists()
+
+    def test_model_names_its_file(self, workdir, capsys):
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"format_version": 1, "\xff": null}\n')
+        out = tmp_path / "adapted.json"
+        capsys.readouterr()
+        assert run_cli(["adapt", "--source-model", str(model), "--target-train", tgt,
+                        "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {model}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
+    def test_synth_config_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes('{"d": 4, "noise_sigma": 0.4} # r\u00e9glage\n'.encode("latin-1"))
+        src, tgt = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+        assert run_cli(["synth", "--config", str(config), "--out-source", str(src),
+                        "--out-target", str(tgt)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: not UTF-8 text (invalid continuation byte)\n"
+        assert not src.exists() and not tgt.exists()
 
 
 class TestPipeline:

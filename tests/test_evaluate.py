@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import re
 from dataclasses import replace
 from itertools import product
@@ -272,9 +273,22 @@ def fit_record(report):
             report.converged, report.final_dual_value, report.final_beta.tobytes(), report.warnings)
 
 
-# a forced pool forks this process even where a multi-threaded BLAS runs;
+# forced workers fork this process even where a multi-threaded BLAS runs;
 # Python 3.12 and later warn about that fork
 forks = pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+
+
+def assert_no_children():
+    # waitpid(-1) sees every child of this process, running or a zombie,
+    # however it was started
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def daemon_accuracies(seed):
+    # run_protocol inside a multiprocessing daemon, on the path its caller forced
+    source, target = small_problem(seed=seed)
+    return run_protocol(source, target, FAST, k=3).per_fold_accuracy
 
 
 @forks
@@ -316,26 +330,41 @@ class TestFoldWorkers:
         assert fits == [] and len(report.per_fold_accuracy) == 3
 
     def test_no_worker_outlives_the_protocol(self, monkeypatch):
-        import multiprocessing
-
         fold_workers(monkeypatch, 2)
         source, target = small_problem(seed=3)
         run_protocol(source, target, FAST, k=3)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         with pytest.raises(InvalidInputError):
             run_protocol(source, target, replace(FAST, eta=1e308, c1=0.01), k=3)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_the_pool_leaves_the_thread_count_it_found(self, monkeypatch):
         # so that a second run_protocol call may fork again
-        import os
-
         fold_workers(monkeypatch, 2)
         source, target = small_problem(seed=3)
         before = len(os.listdir("/proc/self/task"))
-        for _ in range(8):  # a thread that outlives its join does so now and then
+        for _ in range(8):
             run_protocol(source, target, FAST, k=2)
             assert len(os.listdir("/proc/self/task")) == before
+
+    def test_the_workers_leave_no_open_descriptor(self, monkeypatch):
+        # every pipe is closed as the call ends, not when a collection runs
+        import gc
+
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=3)
+        before = sorted(os.listdir("/proc/self/fd"))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(3):
+                run_protocol(source, target, FAST, k=4)
+                with pytest.raises(InvalidInputError):
+                    run_protocol(source, target, replace(FAST, eta=1e308, c1=0.01), k=4)
+            assert sorted(os.listdir("/proc/self/fd")) == before
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_non_finite_descent_raises_the_same_text(self, monkeypatch):
         source, target = small_problem(seed=3)
@@ -349,8 +378,6 @@ class TestFoldWorkers:
         assert texts[0] == texts[1]
 
     def test_a_raising_on_fit_stops_the_pool(self, monkeypatch):
-        import multiprocessing
-
         def on_fit(fold, report):
             if fold == 1:
                 raise RuntimeError("stop")
@@ -361,12 +388,38 @@ class TestFoldWorkers:
         source, target = small_problem(seed=4)
         with pytest.raises(RuntimeError, match="^stop$"):
             run_protocol(source, target, FAST, k=4, on_fit=on_fit)
-        assert seen == [0] and multiprocessing.active_children() == []
+        assert seen == [0]
+        assert_no_children()
+
+    def test_each_result_reaches_on_fit_as_its_fold_ends(self, monkeypatch):
+        # fold 2 runs after fold 0 in the same worker and would take 30 s:
+        # fold 0's result must reach on_fit before fold 2 ends
+        import time
+
+        import dtmil.evaluate
+
+        real, slow = dtmil.evaluate.fit_dtc, derive_seed(FAST.seed, _SEED_FIT, 2)
+
+        def fit(train, source_model, hyper):
+            if hyper.seed == slow:
+                time.sleep(30)
+            return real(train, source_model, hyper)
+
+        def on_fit(fold, report):
+            raise RuntimeError(f"saw fold {fold}")
+
+        monkeypatch.setattr(dtmil.evaluate, "fit_dtc", fit)
+        fold_workers(monkeypatch, 2)
+        source, target = small_problem(seed=4)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^saw fold 0$"):
+            run_protocol(source, target, FAST, k=4, on_fit=on_fit)
+        assert time.monotonic() - start < 10
+        assert_no_children()
 
     def test_a_raise_stops_the_running_folds(self, monkeypatch):
         # fold 0 fails at once, while the fold the other worker runs would
         # take 30 s: the raise must not wait for it
-        import multiprocessing
         import time
 
         import dtmil.evaluate
@@ -382,16 +435,15 @@ class TestFoldWorkers:
         fold_workers(monkeypatch, 2)
         source, target = small_problem(seed=4)
         start = time.monotonic()
-        with pytest.raises(InvalidInputError, match="^stop in fold 0$"):
+        with pytest.raises(InvalidInputError, match="^stop in fold 0$") as caught:
             run_protocol(source, target, FAST, k=4)
         assert time.monotonic() - start < 10
-        assert multiprocessing.active_children() == []
+        assert 'raise InvalidInputError("stop")' in str(caught.value.__cause__)
+        assert_no_children()
 
     def test_a_worker_that_dies_fails_the_call(self, monkeypatch):
-        # the pool replaces a killed worker, and without a check would wait
-        # for the killed worker's fold forever; the alarm bounds that wait
-        import multiprocessing
-        import os
+        # the killed worker's pipe ends without the killed fold's result, and
+        # the call must fail rather than wait for it; the alarm bounds a wait
         import signal
 
         import dtmil.evaluate
@@ -417,7 +469,7 @@ class TestFoldWorkers:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
     def test_a_threaded_process_keeps_its_folds(self):
         import threading
@@ -433,25 +485,41 @@ class TestFoldWorkers:
             release.set()
             thread.join()
 
-    def test_a_daemon_keeps_its_folds(self):
+    def test_a_daemon_runs_its_folds_in_workers(self, monkeypatch):
+        # a multiprocessing daemon may not start multiprocessing children, but
+        # the fold workers are plain forks; the daemon inherits the forced path
         import multiprocessing
 
-        from dtmil.evaluate import _fold_workers
-
+        fold_workers(monkeypatch, 1)
+        local = daemon_accuracies(6)
+        fold_workers(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply(_fold_workers, (10,)) == 1
+            assert pool.apply(daemon_accuracies, (6,)) == local
 
     def test_import_loads_no_process_machinery(self):
+        # nor does a run with forked workers, and the caller starts no thread
         import subprocess
         import sys
 
         import dtmil
 
         src = str(Path(dtmil.__file__).parent.parent)
-        code = (f"import sys; sys.path.insert(0, {src!r}); import dtmil; "
-                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout == "[]\n"
+        code = f"""
+import os, sys
+sys.path.insert(0, {src!r})
+import dtmil, dtmil.evaluate
+from dtmil.data import SynthConfig
+dtmil.evaluate._fold_workers = lambda jobs: 2
+source, target = dtmil.generate_synthetic(SynthConfig(d=2, bags_per_class_source=6,
+                                                       bags_per_class_target=4), 1)
+dtmil.run_protocol(source, target, dtmil.Hyperparams(kappa=2, inner_iters=2, max_outer=2), k=2)
+print(sorted({{'multiprocessing', 'concurrent.futures'}} & set(sys.modules)))
+print(len(os.listdir('/proc/self/task')))
+"""
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout == "[]\n1\n"
 
 
 class TestSweep:
