@@ -14,7 +14,10 @@ import json
 import sys
 from dataclasses import asdict, fields
 
-from .core import AdaptedModel, Hyperparams, _check_int, _check_real, embed_bag
+from .core import AdaptedModel, BagBatch, Hyperparams, _check_int, _check_real
+# perfbench/tracer.py wraps embed_bag at this site; it goes once the tracer's
+# call sites name the batched functions
+from .core import embed_bag  # noqa: F401
 from .data import (
     SynthConfig,
     generate_synthetic,
@@ -91,6 +94,8 @@ def _cmd_synth(args) -> int:
                 raw = json.load(handle)
             except UnicodeDecodeError as exc:
                 raise InvalidInputError(f"{args.config}: not UTF-8 text ({exc.reason})") from exc
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"{args.config}: invalid JSON ({exc.msg})") from exc
         config = SynthConfig.from_dict(raw)
     else:
         config = SynthConfig()
@@ -205,10 +210,8 @@ def _cmd_embed(args) -> int:
         if not isinstance(model, AdaptedModel):
             raise InvalidInputError("model file holds no transfer dictionary; --dict psi needs an adapted model")
         dictionary = model.psi
-    lines = [
-        json.dumps({"id": bag.id, "features": embed_bag(bag, dictionary).tolist()})
-        for bag in bags
-    ]
+    features = BagBatch(bags).embed(dictionary).tolist()
+    lines = [json.dumps({"id": bag.id, "features": row}) for bag, row in zip(bags, features)]
     write_text_atomic(args.out, "\n".join(lines) + "\n")
     _log(f"embedded {len(bags)} bags against {args.dict} -> {args.out}")
     return 0
@@ -289,7 +292,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (InvalidInputError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidInputError, OSError) as exc:
         _log(f"error: {exc}")
         return 1
     except Exception as exc:  # runtime failures

@@ -19,8 +19,10 @@ and clamped to the box, so the objective never decreases and every iterate
 is exactly feasible.  The loop's scalars are Python floats, not numpy
 scalars: the same IEEE double operations in the same order, so the results
 are bit-identical to the numpy form at a fraction of the per-coordinate cost.
-Sweeps skip only coordinates on a bound that a rounding-error bound proves a
-visit would leave in place; near the optimum that is all but a few.
+Below 16 duals the whole sweep runs on Python floats, row updates included.
+From 16 up the row updates run in numpy, and sweeps skip only coordinates on
+a bound that a rounding-error bound proves a visit would leave in place;
+near the optimum that is all but a few.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .errors import InvalidInputError
 BOX_FEASIBILITY_TOL = 1e-9
 DEFAULT_SWEEP_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 10_000
-# Smaller problems never screen: at n = 10, the quick protocol's folds, a
-# screen costs several sweeps, and those solves timed no faster with it.
+# Smaller problems never screen and keep all of a sweep on Python floats: at
+# n = 10, the quick protocol's folds, a screen costs several sweeps, and a
+# numpy row update costs more in call overhead than its ten floats.
 _SCREEN_MIN_N = 16
 # A skip must be certified for this many sweeps at the last sweep's drift;
 # on fit solves 2, 4 and 8 timed within 5% of each other, 1 was 10% slower.
@@ -209,49 +212,76 @@ def solve_box_qp(
     within one sweep falls below ``DEFAULT_SWEEP_TOL`` (converged) or after
     ``max_sweeps`` sweeps (converged = False).
 
-    Only the row update of ``s = K (beta * y)`` runs in numpy; every other
-    per-coordinate operation runs on Python floats, in the order written, so
-    beta, the objective and the sweep count are bit-identical to the same
-    loop on numpy float64 scalars visiting every coordinate.  Reordering or
-    batching the updates would change the iterates; skipping a visit that
-    provably changes nothing does not.  From ``_SCREEN_MIN_N`` duals up,
-    sweeps skip the bound coordinates that ``_Screen`` certifies after
-    sweeps 1, 2, 4, ..., and screen anew mid-sweep once a certificate may
-    have run out.
+    Every per-coordinate operation runs on Python floats, in the order
+    written, so beta, the objective and the sweep count are bit-identical to
+    the same loop on numpy float64 scalars visiting every coordinate.
+    Reordering or batching the updates would change the iterates; skipping a
+    visit that provably changes nothing does not.  Below ``_SCREEN_MIN_N``
+    duals the row update of ``s = K (beta * y)`` runs on Python floats too
+    and every sweep visits every coordinate.  From ``_SCREEN_MIN_N`` up the
+    row update runs in numpy, and sweeps skip the bound coordinates that
+    ``_Screen`` certifies after sweeps 1, 2, 4, ..., and screen anew
+    mid-sweep once a certificate may have run out.
 
     ``init`` warm-starts the iterate (validated against the box, then
     projected exactly onto it); the default start is the zero vector.
     """
     _check_int(max_sweeps, "max_sweeps", 0)
-    n = prob.n
-    ub = prob.box_upper
     if init is None:
-        beta = np.zeros(n)
+        beta = np.zeros(prob.n)
     else:
-        beta = np.clip(_checked_beta(init, prob), 0.0, ub)
-
-    gram = prob.gram
-    labels = prob.labels.astype(np.float64)
-    c1 = prob.c1
+        beta = np.clip(_checked_beta(init, prob), 0.0, prob.box_upper)
     # s_i = sum_j K_ij beta_j y_j, maintained incrementally; symmetric gram
     # lets the update read the contiguous row instead of a strided column.
-    s = gram @ (beta * labels)
-    # s read through a memoryview gives Python floats; step holds each row update
-    sv, rows, step = memoryview(s), list(gram), np.empty(n)
-    b = beta.tolist()
-    y = labels.tolist()
-    margins = prob.margins.tolist()
-    diag = np.diagonal(gram).tolist()
+    labels = prob.labels.astype(np.float64)
+    s = prob.gram @ (beta * labels)
+    sweep = _sweep_floats if prob.n < _SCREEN_MIN_N else _sweep_screened
+    b, sweeps, converged = sweep(prob, beta.tolist(), s, labels.tolist(), max_sweeps)
+    beta = np.array(b)
+    return DualState(
+        beta=beta,
+        objective=dual_value(beta, prob),
+        iterations=sweeps,
+        converged=converged,
+    )
 
-    screen = _Screen(prob, max_sweeps) if n >= _SCREEN_MIN_N else None
-    znorm, sweep_tau = (screen.norms, screen.sweep_tau) if screen else ([0.0] * n, 0.0)
+
+def _sweep_floats(prob: DualProblem, b: list[float], s: np.ndarray, y: list[float], max_sweeps: int):
+    # a move adds fl(K_ij c) to each s_j: numpy's row update, element by
+    # element, without a numpy call's overhead on a row of a few floats
+    ub, c1, margins, diag = prob.box_upper, prob.c1, prob.margins.tolist(), np.diagonal(prob.gram).tolist()
+    s, rows = s.tolist(), prob.gram.tolist()
+    for sweeps in range(1, max_sweeps + 1):
+        max_delta = 0.0
+        for i, row in enumerate(rows):
+            grad_i = margins[i] - y[i] * s[i] / c1
+            if diag[i] > 0.0:
+                target = b[i] + c1 * grad_i / diag[i]
+                new = ub if target > ub else (0.0 if target < 0.0 else target)
+            else:
+                new = ub if grad_i > 0.0 else 0.0
+            delta = new - b[i]
+            if delta != 0.0:
+                b[i] = new
+                c = y[i] * delta
+                s = [a + k * c for a, k in zip(s, row)]
+                if abs(delta) > max_delta:
+                    max_delta = abs(delta)
+        if max_delta < DEFAULT_SWEEP_TOL:
+            return b, sweeps, True
+    return b, max_sweeps, False
+
+
+def _sweep_screened(prob: DualProblem, b: list[float], s: np.ndarray, y: list[float], max_sweeps: int):
+    ub, c1, margins, diag = prob.box_upper, prob.c1, prob.margins.tolist(), np.diagonal(prob.gram).tolist()
+    # s read through a memoryview gives Python floats; step holds each row update
+    sv, rows, step = memoryview(s), list(prob.gram), np.empty(prob.n)
+    screen = _Screen(prob, max_sweeps)
+    znorm, sweep_tau = screen.norms, screen.sweep_tau
     # the drift since the last screen, its certified limit, and the last
     # whole sweep's drift, which sets how long a skip must be certified for
-    visit, drift, limit, rate = list(range(n)), 0.0, np.inf, np.inf
-
-    sweeps = 0
-    converged = False
-    for _ in range(max_sweeps):
+    visit, drift, limit, rate = list(range(prob.n)), 0.0, np.inf, np.inf
+    for sweeps in range(1, max_sweeps + 1):
         max_delta = 0.0
         start = drift = drift + sweep_tau
         order = visit
@@ -278,19 +308,10 @@ def solve_box_qp(
                         rest = visit[bisect_right(visit, i) :]
                         break
             order = rest
-        sweeps += 1
         if max_delta < DEFAULT_SWEEP_TOL:
-            converged = True
-            break
+            return b, sweeps, True
         rate = drift - start
-        if screen and sweeps & (sweeps - 1) == 0:
+        if sweeps & (sweeps - 1) == 0:
             visit, limit = screen(b, s, _SKIP_SWEEPS * rate)
             drift = 0.0
-
-    beta = np.array(b)
-    return DualState(
-        beta=beta,
-        objective=dual_value(beta, prob),
-        iterations=sweeps,
-        converged=converged,
-    )
+    return b, max_sweeps, False

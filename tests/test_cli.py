@@ -197,6 +197,16 @@ class TestNonUtf8Inputs:
         assert capsys.readouterr().err == f"error: {config}: not UTF-8 text (invalid continuation byte)\n"
         assert not src.exists() and not tgt.exists()
 
+    def test_synth_config_invalid_json_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"d": 4,')
+        src, tgt = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+        assert run_cli(["synth", "--config", str(config), "--out-source", str(src),
+                        "--out-target", str(tgt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: invalid JSON (")
+        assert not src.exists() and not tgt.exists()
+
 
 class TestPipeline:
     def test_full_pipeline(self, workdir, capsys):

@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtmil import (
@@ -242,6 +242,10 @@ _LABELS = st.sampled_from(
     [1, -1, 1.0, -1.0, np.float64(-1.0), True, False, np.int64(1), 0, 2, 0.5, float("nan"), "1", None]
 )
 _VALUES = st.one_of(st.floats(), st.integers(-(2**70), 2**70))
+# fields that the constructor always accepts
+_GOOD_IDS = st.text(min_size=1, max_size=6)
+_GOOD_LABELS = st.sampled_from([1, -1, 1.0, -1.0, np.float64(-1.0)])
+_FINITE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
 
 
 class TestSavedDatasetLoads:
@@ -252,8 +256,14 @@ class TestSavedDatasetLoads:
     def test_every_accepted_bag_round_trips(self, data):
         d = data.draw(st.integers(1, 3))
         rows = st.lists(st.lists(_VALUES, min_size=d, max_size=d), min_size=1, max_size=3)
+        candidates = data.draw(st.lists(st.tuples(_IDS, _LABELS, rows), min_size=1, max_size=6))
+        # one candidate that is always accepted, at a drawn place, so that
+        # every example saves a nonempty dataset
+        finite = st.lists(st.lists(_FINITE_VALUES, min_size=d, max_size=d), min_size=1, max_size=3)
+        good = data.draw(st.tuples(_GOOD_IDS, _GOOD_LABELS, finite))
+        candidates.insert(data.draw(st.integers(0, len(candidates))), good)
         bags = {}
-        for bag_id, label, instances in data.draw(st.lists(st.tuples(_IDS, _LABELS, rows), min_size=1, max_size=6)):
+        for bag_id, label, instances in candidates:
             try:
                 bag = Bag(id=bag_id, label=label, instances=instances)
             except InvalidInputError:
@@ -262,7 +272,6 @@ class TestSavedDatasetLoads:
             if bag.label is not None:
                 bags.setdefault(bag.id, bag)
         bags = list(bags.values())
-        assume(bags)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "bags.jsonl")
             save_dataset(bags, path)

@@ -268,7 +268,7 @@ class TestBitIdenticalToNumpyLoop:
     @pytest.mark.parametrize("max_sweeps", [1, 3, DEFAULT_MAX_SWEEPS])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("zero_rows", [False, True], ids=["dense", "zero_rows"])
-    @pytest.mark.parametrize("n", [1, 2, 17, 150])
+    @pytest.mark.parametrize("n", [1, 2, 10, qp._SCREEN_MIN_N - 1, 17, 150])
     def test_matches_numpy_scalar_loop(self, n, zero_rows, warm, max_sweeps):
         rng, prob = self._problem(1000 + n, n, zero_rows)
         init = self._warm_start(rng, n) if warm else None
@@ -424,8 +424,9 @@ class TestScreenedSweepsAreExact:
     def test_rank_deficient_problems_at_extreme_scales(self, data):
         # low rank and zero rows give a singular Gram with zero diagonals;
         # scales down to 1e-150 put Gram products and row updates near
-        # underflow, and up to 1e150 near overflow
-        n = data.draw(st.integers(qp._SCREEN_MIN_N, 48), label="n")
+        # underflow, and up to 1e150 near overflow; n below _SCREEN_MIN_N
+        # takes the unscreened path
+        n = data.draw(st.integers(1, 48), label="n")
         d = data.draw(st.integers(1, 6), label="d")
         rank = data.draw(st.integers(1, d), label="rank")
         exponent = data.draw(st.integers(-150, 150), label="scale exponent")
