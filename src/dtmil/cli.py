@@ -14,10 +14,7 @@ import json
 import sys
 from dataclasses import asdict, fields
 
-from .core import AdaptedModel, BagBatch, Hyperparams, _check_int, _check_real
-# perfbench/tracer.py wraps embed_bag at this site; it goes once the tracer's
-# call sites name the batched functions
-from .core import embed_bag  # noqa: F401
+from .core import AdaptedModel, Hyperparams, _check_int, _check_real, embed_bag
 from .data import (
     SynthConfig,
     generate_synthetic,
@@ -210,8 +207,10 @@ def _cmd_embed(args) -> int:
         if not isinstance(model, AdaptedModel):
             raise InvalidInputError("model file holds no transfer dictionary; --dict psi needs an adapted model")
         dictionary = model.psi
-    features = BagBatch(bags).embed(dictionary).tolist()
-    lines = [json.dumps({"id": bag.id, "features": row}) for bag, row in zip(bags, features)]
+    lines = [
+        json.dumps({"id": bag.id, "features": embed_bag(bag, dictionary).tolist()})
+        for bag in bags
+    ]
     write_text_atomic(args.out, "\n".join(lines) + "\n")
     _log(f"embedded {len(bags)} bags against {args.dict} -> {args.out}")
     return 0

@@ -40,7 +40,9 @@ DEFAULT_SWEEP_TOL = 1e-8
 DEFAULT_MAX_SWEEPS = 10_000
 # Smaller problems never screen and keep all of a sweep on Python floats: at
 # n = 10, the quick protocol's folds, a screen costs several sweeps, and a
-# numpy row update costs more in call overhead than its ten floats.
+# numpy row update costs more in call overhead than its ten floats.  On
+# quick-config fit solves the float row update timed faster at n = 10 and 15,
+# level at 16 and slower from 20 up.
 _SCREEN_MIN_N = 16
 # A skip must be certified for this many sweeps at the last sweep's drift;
 # on fit solves 2, 4 and 8 timed within 5% of each other, 1 was 10% slower.
@@ -248,7 +250,9 @@ def solve_box_qp(
 
 def _sweep_floats(prob: DualProblem, b: list[float], s: np.ndarray, y: list[float], max_sweeps: int):
     # a move adds fl(K_ij c) to each s_j: numpy's row update, element by
-    # element, without a numpy call's overhead on a row of a few floats
+    # element, without a numpy call's overhead on a row of a few floats.  The
+    # coordinate update repeats _sweep_screened's: one loop choosing its row
+    # update per move ran the quick protocol's n = 10 solves 4-8% slower.
     ub, c1, margins, diag = prob.box_upper, prob.c1, prob.margins.tolist(), np.diagonal(prob.gram).tolist()
     s, rows = s.tolist(), prob.gram.tolist()
     for sweeps in range(1, max_sweeps + 1):

@@ -335,6 +335,31 @@ def fit_shaped(rng, n, d=20, scale=10.0):
     return DualProblem(features=features, margins=margins, labels=labels, c1=1.0)
 
 
+def _draw_extreme_scale_solve(data, n):
+    # low rank and zero rows give a singular Gram with zero diagonals;
+    # scales down to 1e-150 put Gram products and row updates near
+    # underflow, and up to 1e150 near overflow
+    d = data.draw(st.integers(1, 6), label="d")
+    rank = data.draw(st.integers(1, d), label="rank")
+    exponent = data.draw(st.integers(-150, 150), label="scale exponent")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    features = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) * 10.0**exponent
+    features[rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 0.6]), label="zero rows")] = 0.0
+    with np.errstate(over="ignore"):
+        finite = bool(np.all(np.isfinite(features @ features.T)))
+    assume(finite)
+    prob = DualProblem(
+        features=features,
+        margins=rng.uniform(-1.0, 2.0, size=n),
+        labels=rng.choice([1, -1], size=n),
+        c1=float(10.0 ** rng.uniform(-1, 1)),
+    )
+    init = None
+    if data.draw(st.booleans(), label="warm"):
+        init = TestBitIdenticalToNumpyLoop._warm_start(rng, n)
+    return prob, init, data.draw(st.integers(1, 400), label="max_sweeps")
+
+
 class TestScreenedSweepsAreExact:
     """Skipped visits must be exact no-ops: every solve here equals
     ``_reference_solve``, which visits every coordinate, bit for bit."""
@@ -422,35 +447,21 @@ class TestScreenedSweepsAreExact:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())
     def test_rank_deficient_problems_at_extreme_scales(self, data):
-        # low rank and zero rows give a singular Gram with zero diagonals;
-        # scales down to 1e-150 put Gram products and row updates near
-        # underflow, and up to 1e150 near overflow; n below _SCREEN_MIN_N
-        # takes the unscreened path
-        n = data.draw(st.integers(1, 48), label="n")
-        d = data.draw(st.integers(1, 6), label="d")
-        rank = data.draw(st.integers(1, d), label="rank")
-        exponent = data.draw(st.integers(-150, 150), label="scale exponent")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        features = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d)) * 10.0**exponent
-        features[rng.random(n) < data.draw(st.sampled_from([0.0, 0.2, 0.6]), label="zero rows")] = 0.0
-        with np.errstate(over="ignore"):
-            finite = bool(np.all(np.isfinite(features @ features.T)))
-        assume(finite)
-        prob = DualProblem(
-            features=features,
-            margins=rng.uniform(-1.0, 2.0, size=n),
-            labels=rng.choice([1, -1], size=n),
-            c1=float(10.0 ** rng.uniform(-1, 1)),
-        )
-        init = None
-        if data.draw(st.booleans(), label="warm"):
-            init = TestBitIdenticalToNumpyLoop._warm_start(rng, n)
-        max_sweeps = data.draw(st.integers(1, 400), label="max_sweeps")
+        n = data.draw(st.integers(qp._SCREEN_MIN_N, 48), label="n")
+        prob, init, max_sweeps = _draw_extreme_scale_solve(data, n)
         # a zero floor skips every certifiable coordinate, down to the
         # thinnest certificates
         floor = data.draw(st.sampled_from([0, qp._SKIP_SWEEPS]), label="skip sweeps")
         with mock.patch.object(qp, "_SKIP_SWEEPS", floor):
             _assert_matches_reference(prob, init=init, max_sweeps=max_sweeps)
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_small_rank_deficient_problems_at_extreme_scales(self, data):
+        # below _SCREEN_MIN_N the row updates run on Python floats
+        n = data.draw(st.integers(1, qp._SCREEN_MIN_N - 1), label="n")
+        prob, init, max_sweeps = _draw_extreme_scale_solve(data, n)
+        _assert_matches_reference(prob, init=init, max_sweeps=max_sweeps)
 
 
 class TestKKTResidual:
