@@ -17,6 +17,7 @@ from dataclasses import asdict, fields
 from .core import AdaptedModel, Hyperparams, _check_int, _check_real, embed_bag
 from .data import (
     SynthConfig,
+    _decode_json,
     generate_synthetic,
     load_dataset,
     load_model,
@@ -86,14 +87,8 @@ def _print_fit_report(label: str, report: FitReport, rounds: bool = True) -> Non
 
 def _cmd_synth(args) -> int:
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except UnicodeDecodeError as exc:
-                raise InvalidInputError(f"{args.config}: not UTF-8 text ({exc.reason})") from exc
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{args.config}: invalid JSON ({exc.msg})") from exc
-        config = SynthConfig.from_dict(raw)
+        with open(args.config, "rb") as handle:
+            config = SynthConfig.from_dict(_decode_json(handle.read(), args.config, InvalidInputError))
     else:
         config = SynthConfig()
     source, target = generate_synthetic(config, args.seed)

@@ -66,6 +66,30 @@ def write_text_atomic(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _decode_json(raw: bytes, where: str, error: type[InvalidInputError]):
+    # the one JSON reading rule: UTF-8 text holding one JSON value; a failure
+    # raises ``error`` naming ``where``, a path or path:line
+    try:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+
+
+def _check_keys(value, keys: set[str], what: str, where: str, error: type[InvalidInputError]) -> None:
+    # the one key rule: a JSON object holding exactly ``keys``
+    if not isinstance(value, dict):
+        raise error(f"{where}: {what} must be a JSON object")
+    if set(value) != keys:
+        extra, missing = sorted(set(value) - keys), sorted(keys - set(value))
+        raise error(
+            f"{where}: {what} keys must be exactly {sorted(keys)}"
+            + (f"; unexpected {extra}" if extra else "")
+            + (f"; missing {missing}" if missing else "")
+        )
+
+
 def load_dataset(path: str) -> list[Bag]:
     """Read a JSON-lines dataset, validating ids, labels and dimensions."""
     bags: list[Bag] = []
@@ -76,22 +100,8 @@ def load_dataset(path: str) -> list[Bag]:
             if not line.strip():
                 continue
             where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise DatasetFormatError(f"{where}: not UTF-8 text ({exc.reason})") from exc
-            except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise DatasetFormatError(f"{where}: expected a JSON object per line")
-            extra = set(record) - _BAG_KEYS
-            missing = _BAG_KEYS - set(record)
-            if extra or missing:
-                raise DatasetFormatError(
-                    f"{where}: bag record keys must be exactly {sorted(_BAG_KEYS)}"
-                    + (f"; unexpected {sorted(extra)}" if extra else "")
-                    + (f"; missing {sorted(missing)}" if missing else "")
-                )
+            record = _decode_json(line, where, DatasetFormatError)
+            _check_keys(record, _BAG_KEYS, "bag record", where, DatasetFormatError)
             # Bag owns the id, label and array rules; a file adds labels and unique ids
             try:
                 bag = Bag(id=record["id"], label=record["label"], instances=record["instances"])
@@ -129,11 +139,10 @@ def save_dataset(bags: list[Bag], path: str) -> None:
 
 
 def _hyper_from_dict(raw, path: str) -> Hyperparams:
-    if not isinstance(raw, dict) or set(raw) != _HYPER_KEYS:
-        raise ModelFormatError(f"{path}: hyper must hold exactly the keys {sorted(_HYPER_KEYS)}")
+    _check_keys(raw, _HYPER_KEYS, "hyper", path, ModelFormatError)
     try:
         return Hyperparams(**raw)
-    except (InvalidInputError, TypeError) as exc:
+    except InvalidInputError as exc:
         raise ModelFormatError(f"{path}: invalid hyperparameters: {exc}") from exc
 
 
@@ -164,25 +173,11 @@ def save_model(model: SourceModel | AdaptedModel, path: str) -> None:
 
 def load_model(path: str) -> SourceModel | AdaptedModel:
     """Load whichever model kind the file holds."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except UnicodeDecodeError as exc:
-            raise ModelFormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"{path}: model file must hold a JSON object")
-    if set(doc) != _MODEL_KEYS:
-        unknown = sorted(set(doc) - _MODEL_KEYS)
-        missing = sorted(_MODEL_KEYS - set(doc))
-        raise ModelFormatError(
-            f"{path}: model keys must be exactly {sorted(_MODEL_KEYS)}"
-            + (f"; unknown {unknown}" if unknown else "")
-            + (f"; missing {missing}" if missing else "")
-        )
+    with open(path, "rb") as handle:
+        doc = _decode_json(handle.read(), path, ModelFormatError)
+    _check_keys(doc, _MODEL_KEYS, "model", path, ModelFormatError)
     version = doc["format_version"]
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # JSON true == 1
         raise ModelFormatError(
             f"{path}: expected format_version {MODEL_FORMAT_VERSION}, found {version!r}"
         )

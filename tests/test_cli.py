@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import dtmil
 from dtmil import (
     Bag,
     Hyperparams,
@@ -137,6 +140,14 @@ class TestValidationErrors:
         assert "instances_per_bag" in err and "runtime error" not in err
         assert not os.path.exists(src) and not os.path.exists(tgt)
 
+    def test_synth_config_that_is_no_object_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "list.json"
+        config.write_text('[["d", 4]]\n')
+        src, tgt = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+        assert run(["synth", "--config", str(config), "--out-source", str(src), "--out-target", str(tgt)]) == 1
+        assert capsys.readouterr().err == "error: synthetic config must be a JSON object\n"
+        assert not src.exists() and not tgt.exists()
+
     def test_missing_input_file_exits_1(self, tmp_path):
         code = run(["train-source", "--data", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "m.json")])
@@ -206,6 +217,28 @@ class TestNonUtf8Inputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}: invalid JSON (")
         assert not src.exists() and not tgt.exists()
+
+
+class TestModuleEntryPoint:
+    """``python -m dtmil.cli`` runs ``main`` and exits with its code."""
+
+    def run_module(self, *args):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(dtmil.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "dtmil.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_exit_codes(self, workdir):
+        tmp_path, config = workdir
+        src, tgt = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+        done = self.run_module("synth", "--config", config, "--out-source", str(src), "--out-target", str(tgt))
+        assert (done.returncode, done.stdout) == (0, "")
+        assert done.stderr == f"wrote 24 source bags to {src}\nwrote 16 target bags to {tgt}\n"
+        missing = tmp_path / "missing.jsonl"
+        done = self.run_module("eval", "--model", "m.json", "--data", str(missing), "--out", str(tmp_path / "e.json"))
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: [Errno 2] No such file or directory")
 
 
 class TestPipeline:
@@ -451,12 +484,20 @@ class TestSweepCommand:
         assert "evaluate.py:" not in captured.err
         assert captured.out == ""
 
-    def test_bad_grid_exits_1(self, workdir):
+    @pytest.mark.parametrize("grid, message", [
+        ("abc", "--c1 must be a comma-separated list of reals: could not convert string to float: 'abc'"),
+        (",", "--c1 must contain at least one value"),
+        (" , ,", "--c1 must contain at least one value"),
+    ], ids=["not-a-real", "comma", "blanks"])
+    def test_bad_grid_exits_1(self, workdir, capsys, grid, message):
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
+        capsys.readouterr()
         assert run(["sweep", "--source", src, "--target", tgt,
-                    "--c1", "abc", "--c2", "1", "--folds", "3",
+                    "--c1", grid, "--c2", "1", "--folds", "3",
                     "--seed", "0", "--out", str(tmp_path / "s.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
 
 
 TINY_FIT = ["--kappa", "3", "--inner-iters", "2", "--max-outer", "2", "--seed", "1"]

@@ -77,11 +77,14 @@ class TestTypes:
         with pytest.raises(InvalidInputError):
             SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[1.0, 2.0])
 
-    def test_adapted_model_dim_mismatch(self):
+    @pytest.mark.parametrize("psi, w, message", [
+        ([[1.0, 0.0, 0.0]], [1.0], "^transfer dictionary dimension 3 != source dimension 2$"),
+        ([[1.0, 0.0]], [1.0, 2.0], "^adaptation weight length 2 != dictionary size 1$"),
+    ], ids=["psi-dimension", "w-length"])
+    def test_adapted_model_shape_mismatch(self, psi, w, message):
         source = SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[1.0])
-        with pytest.raises(InvalidInputError):
-            AdaptedModel(source=source, psi=Dictionary(codewords=[[1.0, 0.0, 0.0]]),
-                         w=[1.0], hyper=Hyperparams())
+        with pytest.raises(InvalidInputError, match=message):
+            AdaptedModel(source=source, psi=Dictionary(codewords=psi), w=w, hyper=Hyperparams())
 
     @pytest.mark.parametrize("field,value", [
         ("c1", 0.0), ("c1", -1.0), ("c2", 0.0), ("eta", 0.0), ("tol", 0.0),

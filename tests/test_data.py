@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ class TestDatasetIO:
         path.write_text('{"id":"b1","label":1,"instances":[[1.0]]}\nnot json\n')
         with pytest.raises(DatasetFormatError, match=":2"):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]\n", ":1: bag record must be a JSON object"),
+        ('{"id":"a","label":1,"instances":[[1.0]]}\n"a"\n', ":2: bag record must be a JSON object"),
+        ('{"id":"a","label":1}\n',
+         ":1: bag record keys must be exactly ['id', 'instances', 'label']; missing ['instances']"),
+        ("\n  \n\t\n", ": dataset holds no bags"),
+    ], ids=["array", "string", "missing-key", "only-blank-lines"])
+    def test_file_of_json_objects_with_exact_keys(self, tmp_path, text, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(str(path))
+        assert str(info.value) == f"{path}{message}"
 
     def test_dimension_mix_names_bag(self, tmp_path):
         path = tmp_path / "mix.jsonl"
@@ -294,9 +309,13 @@ class TestSavedDatasetLoads:
         save_dataset([bag], str(tmp_path / "b.jsonl"))
         assert (tmp_path / "b.jsonl").read_text() == '{"id": "b", "label": -1, "instances": [[1.0]]}\n'
 
-    def test_save_rejects_mixed_dimensions(self, tmp_path):
-        bags = [Bag(id="a", label=1, instances=[[1.0]]), Bag(id="b", label=-1, instances=[[1.0, 2.0]])]
-        with pytest.raises(InvalidInputError, match="one dimension"):
+    @pytest.mark.parametrize("second, message", [
+        (Bag(id="b", label=-1, instances=[[1.0, 2.0]]), "^bags in a dataset file must share one dimension$"),
+        (Bag(id="a", label=-1, instances=[[2.0]]), "^bag ids must be unique within a dataset file$"),
+    ], ids=["mixed-dimensions", "duplicate-ids"])
+    def test_save_rejects_what_load_would_refuse(self, tmp_path, second, message):
+        bags = [Bag(id="a", label=1, instances=[[1.0]]), second]
+        with pytest.raises(InvalidInputError, match=message):
             save_dataset(bags, str(tmp_path / "x.jsonl"))
         assert not (tmp_path / "x.jsonl").exists()
 
@@ -351,15 +370,57 @@ class TestModelIO:
             b = BagBatch([Bag(id="r", instances=rng.normal(size=(int(rng.integers(1, 5)), 3)))])
             assert score_target(b, loaded)[0] == score_target(b, model)[0]
 
-    def test_version_mismatch(self, tmp_path):
+    # JSON true and 1.0 compare equal to 1, but the version is the integer 1
+    @pytest.mark.parametrize("version", [999, True, 1.0, "1"])
+    def test_version_mismatch(self, tmp_path, version):
         rng = np.random.default_rng(3)
         path = tmp_path / "versioned.json"
         save_model(make_adapted(rng), str(path))
         doc = json.loads(path.read_text())
-        doc["format_version"] = 999
+        doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="expected format_version 1, found 999"):
+        with pytest.raises(ModelFormatError) as info:
             load_model(str(path))
+        assert str(info.value) == f"{path}: expected format_version 1, found {version!r}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "model must be a JSON object"),
+        ('"model"', "model must be a JSON object"),
+        ("not json", "invalid JSON (Expecting value)"),
+        ('{"format_version": 1', "invalid JSON (Expecting ',' delimiter)"),
+    ], ids=["array", "string", "not-json", "truncated"])
+    def test_file_must_hold_one_json_object(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda hyper: [hyper], "hyper must be a JSON object"),
+        (lambda hyper: 0.5, "hyper must be a JSON object"),
+        (lambda hyper: {k: v for k, v in hyper.items() if k != "tol"},
+         f"hyper keys must be exactly {sorted(f.name for f in fields(Hyperparams))}; missing ['tol']"),
+        (lambda hyper: {**hyper, "note": 1},
+         f"hyper keys must be exactly {sorted(f.name for f in fields(Hyperparams))}; unexpected ['note']"),
+    ], ids=["array", "number", "missing-key", "extra-key"])
+    def test_hyper_must_be_an_object_with_exact_keys(self, tmp_path, edit, message):
+        rng = np.random.default_rng(12)
+        path = tmp_path / "hyper.json"
+        save_model(make_adapted(rng), str(path))
+        doc = json.loads(path.read_text())
+        doc["hyper"] = edit(doc["hyper"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("obj", [Dictionary(codewords=[[1.0]]), {"v": [1.0]}, None])
+    def test_save_rejects_objects_that_are_no_model(self, tmp_path, obj):
+        path = tmp_path / "model.json"
+        with pytest.raises(InvalidInputError, match=f"^cannot serialize object of type {type(obj).__name__}$"):
+            save_model(obj, str(path))
+        assert not path.exists()
 
     def test_source_file_via_adapted_loader_is_type_error(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -383,7 +444,7 @@ class TestModelIO:
         doc = json.loads(path.read_text())
         doc["comment"] = "hello"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="comment"):
+        with pytest.raises(ModelFormatError, match=r"; unexpected \['comment'\]$"):
             load_model(str(path))
 
     def test_partial_adaptation_fields_rejected(self, tmp_path):
@@ -496,6 +557,11 @@ class TestSynthConfig:
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(InvalidInputError):
             SynthConfig.from_dict({"dimension": 4})
+
+    @pytest.mark.parametrize("raw", [[], [["d", 4]], "d", None], ids=repr)
+    def test_from_dict_rejects_a_non_object(self, raw):
+        with pytest.raises(InvalidInputError, match="^synthetic config must be a JSON object$"):
+            SynthConfig.from_dict(raw)
 
 
 class TestGenerateSynthetic:

@@ -87,6 +87,12 @@ class TestSplitFolds:
         with pytest.raises(InvalidInputError):
             split_folds(labeled_bags(5), k=1, seed=0)
 
+    def test_duplicate_ids_rejected(self):
+        bags = labeled_bags(5)
+        bags[3] = Bag(id=bags[0].id, label=bags[3].label, instances=bags[3].instances)
+        with pytest.raises(InvalidInputError, match="^bag ids must be unique to assign folds$"):
+            split_folds(bags, k=2, seed=0)
+
     @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(InvalidInputError, match="fold count"):
@@ -121,6 +127,12 @@ class TestAccuracy:
         model = SourceModel(phi=Dictionary(codewords=[[1.0]]), v=[1.0])
         with pytest.raises(InvalidInputError):
             accuracy(model, [])
+
+    @pytest.mark.parametrize("model", [Dictionary(codewords=[[1.0]]), None], ids=repr)
+    def test_unsupported_model_rejected(self, model):
+        bags = [Bag(id="p", label=1, instances=[[2.0]])]
+        with pytest.raises(InvalidInputError, match=f"^unsupported model type {type(model).__name__}$"):
+            accuracy(model, bags)
 
 
 def small_problem(seed=0):

@@ -551,6 +551,21 @@ class TestInitDictionary:
         with pytest.raises(DegenerateInputError):
             init_dictionary(BagBatch([bag([0.0, 0.0])]), size=1, seed=0)
 
+    # np.linalg.norm overflows on the huge rows and underflows to zero on the
+    # tiny ones, which zeroed or dropped them; each is rescaled first
+    @pytest.mark.parametrize("row, unit", [
+        ([1e200, 2e200], [1 / np.sqrt(5), 2 / np.sqrt(5)]),
+        ([1e-200, 0.0], [1.0, 0.0]),
+        ([1.5e308, -1.5e308], [np.sqrt(0.5), -np.sqrt(0.5)]),
+        ([5e-324, 5e-324], [np.sqrt(0.5), np.sqrt(0.5)]),
+    ], ids=["1e200", "1e-200", "1.5e308", "subnormal"])
+    def test_huge_and_tiny_rows_give_unit_codewords(self, row, unit):
+        batch = BagBatch([bag([0.0, 0.0], row)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = init_dictionary(batch, size=3, seed=0)
+        np.testing.assert_allclose(d.codewords, [unit] * 3, rtol=1e-15, atol=0)
+
 
 def toy_source(d=2):
     return SourceModel(phi=Dictionary(codewords=np.eye(d)), v=np.zeros(d))

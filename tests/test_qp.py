@@ -101,6 +101,15 @@ class TestDualProblemValidation:
         with pytest.raises(InvalidInputError):
             DualProblem(features=features, margins=[1.0], labels=[1], c1=1.0)
 
+    @pytest.mark.parametrize("margins, labels, message", [
+        ([1.0], [1, -1], r"^margins \(1,\) and labels \(2,\) must both have length 2$"),
+        ([1.0, 1.0, 1.0], [1, -1], r"^margins \(3,\) and labels \(2,\) must both have length 2$"),
+        ([1.0, 1.0], [1], r"^margins \(2,\) and labels \(1,\) must both have length 2$"),
+    ], ids=["short-margins", "long-margins", "short-labels"])
+    def test_lengths_must_match_the_feature_rows(self, margins, labels, message):
+        with pytest.raises(InvalidInputError, match=message):
+            DualProblem(features=np.eye(2), margins=margins, labels=labels, c1=1.0)
+
     def test_gram_is_read_only_product(self):
         prob = DualProblem(features=[[1.0, 2.0], [3.0, 4.0]], margins=[1.0, 1.0], labels=[1, -1], c1=1.0)
         assert prob.gram.tolist() == [[5.0, 11.0], [11.0, 25.0]]
