@@ -12,23 +12,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 from .core import AdaptedModel, Hyperparams, _check_int, _check_real, embed_bag
 from .data import (
     SynthConfig,
-    _decode_json,
     generate_synthetic,
     load_dataset,
     load_model,
     load_source_model,
+    load_synth_config,
     save_dataset,
     save_model,
     write_text_atomic,
 )
 from .errors import InvalidInputError
 from .evaluate import accuracy, run_protocol, sweep, sweep_rows_to_csv
-from .learn import FitReport, _capture_warnings, fit_dtc, train_source
+from .learn import FitReport, fit_dtc, train_source
 
 _DEFAULTS = Hyperparams()
 
@@ -86,11 +87,7 @@ def _print_fit_report(label: str, report: FitReport, rounds: bool = True) -> Non
 
 
 def _cmd_synth(args) -> int:
-    if args.config is not None:
-        with open(args.config, "rb") as handle:
-            config = SynthConfig.from_dict(_decode_json(handle.read(), args.config, InvalidInputError))
-    else:
-        config = SynthConfig()
+    config = SynthConfig() if args.config is None else load_synth_config(args.config)
     source, target = generate_synthetic(config, args.seed)
     save_dataset(source, args.out_source)
     save_dataset(target, args.out_target)
@@ -105,9 +102,7 @@ def _cmd_train_source(args) -> int:
     _check_real(args.c, "--c", positive=True)
     _check_int(args.seed, "--seed", 0)
     data = load_dataset(args.data)
-    model, caught = _capture_warnings(train_source, data, args.words, args.c, args.seed)
-    for message in caught:
-        _log(f"train-source: warning: {message}")
+    model = train_source(data, args.words, args.c, args.seed)
     save_model(model, args.out)
     _log(f"trained source model ({args.words} words) on {len(data)} bags -> {args.out}")
     return 0
@@ -139,13 +134,10 @@ def _cmd_protocol(args) -> int:
     hyper = _hyper_from_args(args)
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    # fold warnings reach on_fit; a warning caught here is the shared source model's
-    report, caught = _capture_warnings(
-        run_protocol, source, target, hyper, args.folds, conventional=args.conventional,
+    report = run_protocol(
+        source, target, hyper, args.folds, conventional=args.conventional,
         on_fit=lambda fold, rep: _print_fit_report(f"fold {fold}", rep, rounds=args.verbose),
     )
-    for message in caught:
-        _log(f"protocol: warning: {message}")
     # wall-clock timings stay out of the file so identical seeds produce
     # byte-identical reports
     doc = {
@@ -182,9 +174,7 @@ def _cmd_sweep(args) -> int:
     c2_grid = _parse_grid(args.c2_grid, "--c2")
     source = load_dataset(args.source)
     target = load_dataset(args.target)
-    rows, caught = _capture_warnings(sweep, source, target, hyper, c1_grid, c2_grid, args.folds)
-    for message in caught:
-        _log(f"sweep: warning: {message}")
+    rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds)
     for row in rows:
         for warning in row["warnings"]:
             _log(f"c1={row['c1']} c2={row['c2']} fold {row['fold']}: warning: {warning}")
@@ -285,7 +275,12 @@ def run_cli(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # a library warning, such as a source solve at its sweep cap, is
+            # one plain line as it is issued, not Python's file:line form
+            warnings.simplefilter("always", RuntimeWarning)
+            warnings.showwarning = lambda message, *_: _log(f"{args.command}: warning: {message}")
+            return args.func(args)
     except (InvalidInputError, OSError) as exc:
         _log(f"error: {exc}")
         return 1

@@ -379,7 +379,7 @@ def _primal_from_cache(
     hyper: Hyperparams,
 ) -> float:
     # the primal formula, from precomputed source scores and psi features
-    hinges = np.maximum(0.0, 1.0 - labels * (source_scores + z @ w))
+    hinges = np.maximum(0.0, 1.0 - labels * (source_scores + _instance_dots(z, w)))
     return (
         float(np.mean(hinges))
         + 0.5 * hyper.c1 * float(w @ w)

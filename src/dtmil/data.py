@@ -8,7 +8,9 @@ Blank lines are ignored; anything else that deviates is an error.  A dataset
 is written one bag line at a time, never held whole.  Models are a single
 JSON document with a pinned ``format_version``; a source-only model stores
 null for the adaptation fields.  Numbers are serialized with full round-trip
-precision, so save/load is bit-exact.
+precision, so save/load is bit-exact.  A synth config file is one JSON object
+overriding any subset of the ``SynthConfig`` fields.  Every input file is
+read here, and each of its errors names the file.
 """
 
 from __future__ import annotations
@@ -77,14 +79,15 @@ def _decode_json(raw: bytes, where: str, error: type[InvalidInputError]):
         raise error(f"{where}: invalid JSON ({exc.msg})") from exc
 
 
-def _check_keys(value, keys: set[str], what: str, where: str, error: type[InvalidInputError]) -> None:
-    # the one key rule: a JSON object holding exactly ``keys``
+def _check_keys(value, keys: set[str], what: str, where: str, error: type[InvalidInputError],
+                subset: bool = False) -> None:
+    # the one key rule: a JSON object holding exactly ``keys``, or any subset of them
     if not isinstance(value, dict):
         raise error(f"{where}: {what} must be a JSON object")
-    if set(value) != keys:
-        extra, missing = sorted(set(value) - keys), sorted(keys - set(value))
+    extra, missing = sorted(set(value) - keys), [] if subset else sorted(keys - set(value))
+    if extra or missing:
         raise error(
-            f"{where}: {what} keys must be exactly {sorted(keys)}"
+            f"{where}: {what} keys must be {'among' if subset else 'exactly'} {sorted(keys)}"
             + (f"; unexpected {extra}" if extra else "")
             + (f"; missing {missing}" if missing else "")
         )
@@ -215,6 +218,20 @@ def load_adapted_model(path: str) -> AdaptedModel:
     return model
 
 
+def load_synth_config(path: str) -> SynthConfig:
+    """Read a synth config file: a JSON object overriding any subset of the
+    ``SynthConfig`` fields."""
+    with open(path, "rb") as handle:
+        raw = _decode_json(handle.read(), path, InvalidInputError)
+    _check_keys(raw, {f.name for f in fields(SynthConfig)}, "synthetic config", path, InvalidInputError,
+                subset=True)
+    # the dataclass checks the values and accepts lists for its vector fields
+    try:
+        return SynthConfig(**raw)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters of the synthetic two-cluster cross-domain generator.
@@ -265,17 +282,6 @@ class SynthConfig:
         if isinstance(self.shift_translation, float):
             return np.full(self.d, self.shift_translation / math.sqrt(self.d))
         return np.asarray(self.shift_translation)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SynthConfig":
-        if not isinstance(raw, dict):
-            raise InvalidInputError("synthetic config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise InvalidInputError(f"unknown synthetic config keys: {sorted(unknown)}")
-        # the dataclass checks the values and accepts lists for its vector fields
-        return cls(**raw)
 
 
 def _rotation_matrix(d: int, degrees: float) -> np.ndarray:

@@ -17,6 +17,7 @@ import pickle
 import signal
 import sys
 import traceback
+import warnings
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from itertools import product
@@ -36,7 +37,7 @@ from .core import (
     score_target,
 )
 from .errors import InvalidInputError
-from .learn import FitReport, _capture_warnings, fit_dtc, train_source
+from .learn import FitReport, fit_dtc, train_source
 
 SWEEP_CSV_HEADER = ("c1", "c2", "fold", "accuracy")
 
@@ -208,10 +209,13 @@ def _fold_jobs(target, split, hypers, source_model, conventional=False, on_fit=N
             raise InvalidInputError(f"{err} in fold {fold}") from err
         if not baselines:
             return accuracy(model, test), None, None, report
-        # every fold's capped baseline reaches its own report
+        # every fold's capped baseline reaches its own report, as data a
+        # forked worker can send back
         seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
-        target_acc, caught = _capture_warnings(_target_only_accuracy, train, test, hyper, seed)
-        report.warnings.extend(f"target-only baseline: {message}" for message in caught)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            target_acc = _target_only_accuracy(train, test, hyper, seed)
+        report.warnings.extend(f"target-only baseline: {w.message}" for w in caught)
         return accuracy(model, test), accuracy(source_model, test), target_acc, report
 
     results = []

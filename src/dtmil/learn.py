@@ -207,14 +207,6 @@ def _warn_unconverged(report: FitReport, state: DualState, where: str) -> None:
         report.warnings.append(_capped_text(state, where))
 
 
-def _capture_warnings(call, *args, **kwargs):
-    # call(*args, **kwargs) with each RuntimeWarning recorded, not shown once per call site
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        result = call(*args, **kwargs)
-    return result, [str(w.message) for w in caught]
-
-
 def fit_dtc(
     target_train: list[Bag],
     source: SourceModel,

@@ -145,7 +145,15 @@ class TestValidationErrors:
         config.write_text('[["d", 4]]\n')
         src, tgt = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
         assert run(["synth", "--config", str(config), "--out-source", str(src), "--out-target", str(tgt)]) == 1
-        assert capsys.readouterr().err == "error: synthetic config must be a JSON object\n"
+        assert capsys.readouterr().err == f"error: {config}: synthetic config must be a JSON object\n"
+        assert not src.exists() and not tgt.exists()
+
+    def test_synth_config_field_error_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "zero.json"
+        config.write_text('{"d": 0}\n')
+        src, tgt = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+        assert run(["synth", "--config", str(config), "--out-source", str(src), "--out-target", str(tgt)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: d must be an integer >= 1, got 0\n"
         assert not src.exists() and not tgt.exists()
 
     def test_missing_input_file_exits_1(self, tmp_path):
@@ -288,6 +296,24 @@ class TestPipeline:
         # a plain line, so that stderr does not name a source file and line
         assert capsys.readouterr().err.splitlines()[0] == CAPPED_SOURCE_LINE
         assert os.path.exists(model)
+
+    def test_eval_prints_a_library_warning_as_a_plain_line(self, workdir, capsys, monkeypatch):
+        import warnings
+
+        def warning_accuracy(model, bags):
+            warnings.warn("scores overflowed", RuntimeWarning)
+            return 0.5
+
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model, out = str(tmp_path / "m.json"), str(tmp_path / "eval.json")
+        assert run(["train-source", "--data", src, "--words", "4", "--out", model]) == 0
+        monkeypatch.setattr(dtmil.cli, "accuracy", warning_accuracy)
+        capsys.readouterr()
+        assert run(["eval", "--model", model, "--data", tgt, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "warning" in line] == ["eval: warning: scores overflowed"]
+        assert ".py:" not in err
 
     def test_adapt_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
         import dtmil.learn
@@ -442,6 +468,8 @@ class TestProtocolCommand:
             assert (f"fold {fold}: warning: target-only baseline: "
                     "source training: dual solve stopped at its sweep cap") in err
         assert "protocol: warning: source training: dual solve stopped at its sweep cap" in err
+        # the shared source model is trained, and its line printed, before any fold
+        assert err.index("protocol: warning: source training:") < err.index("fold 0: warning:")
         assert "evaluate.py:" not in err
 
 

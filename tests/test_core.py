@@ -479,6 +479,23 @@ class TestPrimalObjective:
         with pytest.raises(InvalidInputError):
             primal_objective([bag([1.0])], model)
 
+    def test_hinges_use_the_scores_of_score_target(self):
+        # bit for bit, so the primal judges the scores accuracy judges; one
+        # bag at a time, since a mean can round an ulp of one score away
+        _, bags = generate_synthetic(SynthConfig(), seed=24)
+        rng = np.random.default_rng(0)
+        source = SourceModel(phi=Dictionary(codewords=rng.normal(size=(20, 10))), v=rng.normal(size=20))
+        model = AdaptedModel(source=source, psi=Dictionary(codewords=rng.normal(size=(20, 10))),
+                             w=rng.normal(size=20), hyper=Hyperparams(c1=0.7, c2=1.3))
+        for train in [[bag] for bag in bags] + [bags]:
+            labels = np.array([bag.label for bag in train])
+            hinges = np.maximum(0.0, 1.0 - labels * score_target(BagBatch(train), model))
+            assert primal_objective(train, model) == (
+                float(np.mean(hinges))
+                + 0.5 * 0.7 * float(model.w @ model.w)
+                + 0.5 * 1.3 * float(np.sum(model.psi.codewords**2))
+            )
+
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(11)
         for trial in range(10):

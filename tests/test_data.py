@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import tempfile
 from dataclasses import fields
@@ -31,7 +32,7 @@ from dtmil import (
     score_target,
 )
 from dtmil.core import _frozen, _is_real
-from dtmil.data import SynthConfig, write_text_atomic
+from dtmil.data import SynthConfig, load_synth_config, write_text_atomic
 
 
 # load_model's error wording per model key: (fields group, array name, ndim)
@@ -537,6 +538,12 @@ class TestSynthConfig:
         cfg = SynthConfig(d=3, shift_translation=(1.0, -1.0, 0.5))
         assert cfg.translation_vector().tolist() == [1.0, -1.0, 0.5]
 
+    @staticmethod
+    def config_file(tmp_path, raw) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        return str(path)
+
     @pytest.mark.parametrize("raw", [
         {"d": True, "shift_rotation_degrees": 0.0, "shift_translation": 0.0},
         {"bags_per_class_source": True},
@@ -549,19 +556,34 @@ class TestSynthConfig:
         {"shift_translation": [True] * 10},
         {"noise_sigma": False},
     ], ids=lambda raw: next(iter(raw)))
-    def test_from_dict_rejects_booleans(self, raw):
+    def test_config_file_rejects_booleans(self, tmp_path, raw):
         # JSON true/false would otherwise pass as the numbers 1 and 0
-        with pytest.raises(InvalidInputError):
-            SynthConfig.from_dict(raw)
+        path = self.config_file(tmp_path, raw)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(path)}: "):
+            load_synth_config(path)
 
-    def test_from_dict_rejects_unknown(self):
-        with pytest.raises(InvalidInputError):
-            SynthConfig.from_dict({"dimension": 4})
+    @pytest.mark.parametrize("raw, message", [
+        ({"dimension": 4}, "synthetic config keys must be among "
+                           f"{sorted(f.name for f in fields(SynthConfig))}; unexpected ['dimension']"),
+        ({"d": 0}, "d must be an integer >= 1, got 0"),
+        ({"d": 2, "shift_translation": [1.0]}, "shift_translation must have length d=2, got 1"),
+    ], ids=["unexpected key", "field", "vector field"])
+    def test_config_file_errors_name_the_file(self, tmp_path, raw, message):
+        path = self.config_file(tmp_path, raw)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_synth_config(path)
 
     @pytest.mark.parametrize("raw", [[], [["d", 4]], "d", None], ids=repr)
-    def test_from_dict_rejects_a_non_object(self, raw):
-        with pytest.raises(InvalidInputError, match="^synthetic config must be a JSON object$"):
-            SynthConfig.from_dict(raw)
+    def test_config_file_rejects_a_non_object(self, tmp_path, raw):
+        path = self.config_file(tmp_path, raw)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(path)}: synthetic config must be a JSON object$"):
+            load_synth_config(path)
+
+    def test_config_file_overrides_a_subset(self, tmp_path):
+        path = self.config_file(tmp_path, {"d": 3, "instances_per_bag": [2, 4], "shift_translation": [1, 2, 3]})
+        assert load_synth_config(path) == SynthConfig(
+            d=3, instances_per_bag=(2, 4), shift_translation=(1.0, 2.0, 3.0))
+        assert load_synth_config(self.config_file(tmp_path, {})) == SynthConfig()
 
 
 class TestGenerateSynthetic:
