@@ -87,6 +87,7 @@ def _print_fit_report(label: str, report: FitReport, rounds: bool = True) -> Non
 
 
 def _cmd_synth(args) -> int:
+    _check_int(args.seed, "seed", 0)  # before the config file is read
     config = SynthConfig() if args.config is None else load_synth_config(args.config)
     source, target = generate_synthetic(config, args.seed)
     save_dataset(source, args.out_source)
@@ -131,7 +132,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    hyper = _hyper_from_args(args)
+    hyper = _hyper_from_args(args)  # validate flags before touching any file
+    _check_int(args.folds, "--folds", 2)
     source = load_dataset(args.source)
     target = load_dataset(args.target)
     report = run_protocol(
@@ -165,13 +167,14 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise InvalidInputError(f"{flag} must be a comma-separated list of reals: {exc}") from exc
     if not grid:
         raise InvalidInputError(f"{flag} must contain at least one value")
-    return grid
+    return [_check_real(value, flag, positive=True) for value in grid]
 
 
 def _cmd_sweep(args) -> int:
     hyper = _hyper_from_args(args)  # --c1/--c2 are grids, so the base keeps default weights
     c1_grid = _parse_grid(args.c1_grid, "--c1")
     c2_grid = _parse_grid(args.c2_grid, "--c2")
+    _check_int(args.folds, "--folds", 2)
     source = load_dataset(args.source)
     target = load_dataset(args.target)
     rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds)

@@ -306,8 +306,8 @@ class BagBatch:
         same; ties, near-ties and dots that could overflow are recomputed
         row-wise.  A NaN dot product raises ``InvalidInputError``.
         """
-        codewords = np.asarray(codewords, dtype=np.float64)
-        if codewords.ndim != 2 or codewords.shape[1] != self.dim:
+        codewords = _frozen(codewords, "codewords", 2)
+        if codewords.shape[1] != self.dim:
             raise InvalidInputError(
                 f"codewords must have shape (K, {self.dim}), got {codewords.shape}"
             )
@@ -326,8 +326,8 @@ class BagBatch:
             dots = codewords @ self.instances.T
             top = np.maximum.reduceat(dots, self.starts, axis=1)
             # 2d ||w|| X is infinite, and so is the threshold, wherever a
-            # product or partial sum of a dot could overflow (or a codeword
-            # is not finite); a finite threshold thus vouches for every dot
+            # product or partial sum of a dot could overflow; a finite
+            # threshold thus vouches for every dot
             bound = np.multiply.outer(_row_norms(codewords), self._bag_norms) * (2 * d)
             thresholds = top - 2 * (bound * (2 * _EPS) + 4 * d * _TINY)
             near = dots >= np.repeat(thresholds, self.counts, axis=1)

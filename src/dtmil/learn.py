@@ -80,38 +80,30 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _checked_codewords(psi_k, u, c1, c2) -> tuple[np.ndarray, np.ndarray]:
-    # psi_k and u under the array rule, as one codeword (1-D) or one per row
-    # (2-D) of the same shape; c1 and c2 under the real rule
+    # one codeword: psi_k and u 1-D of one length under the array rule, c1
+    # and c2 under the real rule
     _check_real(c1, "c1", positive=True)
     _check_real(c2, "c2", positive=True)
-    try:
-        ndim = 2 if np.ndim(psi_k) == 2 else 1
-    except ValueError:  # ragged rows, which the array rule names below
-        ndim = 1
-    psi_k, u = _frozen(psi_k, "psi_k", ndim), _frozen(u, "u", ndim)
+    psi_k, u = _frozen(psi_k, "psi_k", 1), _frozen(u, "u", 1)
     if psi_k.shape != u.shape:
         raise InvalidInputError(f"psi_k {psi_k.shape} and u {u.shape} must have the same shape")
     return psi_k, u
 
 
-def codeword_objective(psi_k, u, c1: float, c2: float):
-    """Per-codeword objective (c2/2)||psi||^2 - (1/(2 c1)) (u . psi)^2.
-
-    A float for one codeword (1-D ``psi_k`` and ``u``), one value per row
-    for row-wise 2-D input.
-    """
+def codeword_objective(psi_k, u, c1: float, c2: float) -> float:
+    """Per-codeword objective (c2/2)||psi||^2 - (1/(2 c1)) (u . psi)^2."""
     psi_k, u = _checked_codewords(psi_k, u, c1, c2)
     proj = _row_dots(u, psi_k)
-    values = 0.5 * c2 * _row_dots(psi_k, psi_k) - 0.5 / c1 * proj * proj
-    return float(values) if values.ndim == 0 else values
+    return float(0.5 * c2 * _row_dots(psi_k, psi_k) - 0.5 / c1 * proj * proj)
 
 
 def _gradient(psi_k: np.ndarray, u: np.ndarray, c1: float, c2: float) -> np.ndarray:
+    # one codeword for codeword_gradient, (K, d) rows for update_codeword
     return c2 * psi_k - (_row_dots(u, psi_k) / c1)[..., None] * u
 
 
 def codeword_gradient(psi_k, u, c1: float, c2: float) -> np.ndarray:
-    """Gradient of the per-codeword objective, c2 psi - (1/c1) u (u . psi), row-wise."""
+    """Gradient of the per-codeword objective, c2 psi - (1/c1) u (u . psi)."""
     return _gradient(*_checked_codewords(psi_k, u, c1, c2), c1, c2)
 
 

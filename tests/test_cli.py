@@ -161,16 +161,24 @@ class TestValidationErrors:
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--words", "0", "--words must be an integer >= 1, got 0"),
-        ("--c", "inf", "--c must be a positive finite real, got inf"),
-        ("--c", "nan", "--c must be a positive finite real, got nan"),
-        ("--seed", "-1", "--seed must be an integer >= 0, got -1"),
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train-source", ["--words", "0"], "--words must be an integer >= 1, got 0"),
+        ("train-source", ["--c", "inf"], "--c must be a positive finite real, got inf"),
+        ("train-source", ["--c", "nan"], "--c must be a positive finite real, got nan"),
+        ("train-source", ["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+        ("protocol", ["--folds", "1"], "--folds must be an integer >= 2, got 1"),
+        ("sweep", ["--c1", "-1", "--c2", "1", "--folds", "2"], "--c1 must be a positive finite real, got -1.0"),
+        ("sweep", ["--c1", "1", "--c2", "1,inf", "--folds", "2"], "--c2 must be a positive finite real, got inf"),
+        ("sweep", ["--c1", "1", "--c2", "1", "--folds", "1"], "--folds must be an integer >= 2, got 1"),
+        ("synth", ["--seed", "-1", "--config", "missing.json"], "seed must be an integer >= 0, got -1"),
     ])
-    def test_train_source_flags_are_checked_before_the_file(self, tmp_path, capsys, flag, value, message):
+    def test_flags_are_checked_before_any_file(self, tmp_path, capsys, command, flags, message):
         missing = str(tmp_path / "missing.jsonl")
-        code = run(["train-source", "--data", missing, flag, value, "--out", str(tmp_path / "m.json")])
-        assert code == 1
+        files = {"train-source": ["--data", missing, "--out", str(tmp_path / "m.json")],
+                 "protocol": ["--source", missing, "--target", missing, "--out", str(tmp_path / "p.json")],
+                 "sweep": ["--source", missing, "--target", missing, "--out", str(tmp_path / "s.csv")],
+                 "synth": ["--out-source", str(tmp_path / "s.jsonl"), "--out-target", str(tmp_path / "t.jsonl")]}
+        assert run([command, *flags, *files[command]]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["adapt", "protocol", "synth"])

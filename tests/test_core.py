@@ -203,8 +203,9 @@ def _array_sites():
          lambda x: update_codeword(one, batch, x, [1], Hyperparams(kappa=1, inner_iters=1))),
         ("codeword_objective psi_k", "psi_k", 1, lambda x: codeword_objective(x, [1.0], 1.0, 1.0)),
         ("codeword_objective u", "u", 1, lambda x: codeword_objective([1.0], x, 1.0, 1.0)),
-        ("codeword_gradient psi_k", "psi_k", 2, lambda x: codeword_gradient(x, [[1.0]], 1.0, 1.0)),
-        ("codeword_gradient u", "u", 2, lambda x: codeword_gradient([[1.0]], x, 1.0, 1.0)),
+        ("codeword_gradient psi_k", "psi_k", 1, lambda x: codeword_gradient(x, [1.0], 1.0, 1.0)),
+        ("codeword_gradient u", "u", 1, lambda x: codeword_gradient([1.0], x, 1.0, 1.0)),
+        ("BagBatch.argmax codewords", "codewords", 2, batch.argmax),
     ]
 
 
@@ -257,6 +258,12 @@ class TestArrayRule:
         psi = Dictionary(codewords=[[1.0]])
         with pytest.raises(InvalidInputError, match="^beta contains non-finite entries$"):
             update_codeword(psi, batch, [math.nan], [1], Hyperparams(kappa=1))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_codewords_are_rejected_by_argmax(self, value):
+        batch = BagBatch([Bag(id="a", instances=[[1.0, 2.0], [3.0, 4.0]])])
+        with pytest.raises(InvalidInputError, match="^codewords contains non-finite entries$"):
+            batch.argmax([[value, 0.0]])
 
 
 class TestEmbedBag:
