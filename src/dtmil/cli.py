@@ -292,9 +292,5 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 2
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run_cli(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run_cli())

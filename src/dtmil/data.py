@@ -48,7 +48,11 @@ def _atomic_output(path: str):
     directory = os.path.dirname(os.path.abspath(path))
     tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
     # mode 0o666 through the umask, as for any new file; mkstemp forces 0o600
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # the output asked for, not its temporary name
+        raise
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
@@ -68,26 +72,36 @@ def write_text_atomic(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _decode_json(raw: bytes, where: str, error: type[InvalidInputError]):
-    # the one JSON reading rule: UTF-8 text holding one JSON value; a failure
-    # raises ``error`` naming ``where``, a path or path:line
+@contextmanager
+def _naming(where: str, error: type[InvalidInputError] = InvalidInputError):
+    # the one error rule: an input error raised inside is re-raised as
+    # ``error`` prefixed with ``where``, a path, path:line or field group
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
+def _decode_json(raw: bytes):
+    # the one JSON reading rule: UTF-8 text holding one JSON value
     try:
         return json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise error(f"{where}: not UTF-8 text ({exc.reason})") from exc
+        raise InvalidInputError(f"not UTF-8 text ({exc.reason})") from exc
     except json.JSONDecodeError as exc:
-        raise error(f"{where}: invalid JSON ({exc.msg})") from exc
+        raise InvalidInputError(f"invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise InvalidInputError("invalid JSON (nested too deeply)") from None
 
 
-def _check_keys(value, keys: set[str], what: str, where: str, error: type[InvalidInputError],
-                subset: bool = False) -> None:
+def _check_keys(value, keys: set[str], what: str, subset: bool = False) -> None:
     # the one key rule: a JSON object holding exactly ``keys``, or any subset of them
     if not isinstance(value, dict):
-        raise error(f"{where}: {what} must be a JSON object")
+        raise InvalidInputError(f"{what} must be a JSON object")
     extra, missing = sorted(set(value) - keys), [] if subset else sorted(keys - set(value))
     if extra or missing:
-        raise error(
-            f"{where}: {what} keys must be {'among' if subset else 'exactly'} {sorted(keys)}"
+        raise InvalidInputError(
+            f"{what} keys must be {'among' if subset else 'exactly'} {sorted(keys)}"
             + (f"; unexpected {extra}" if extra else "")
             + (f"; missing {missing}" if missing else "")
         )
@@ -97,30 +111,24 @@ def load_dataset(path: str) -> list[Bag]:
     """Read a JSON-lines dataset, validating ids, labels and dimensions."""
     bags: list[Bag] = []
     seen_ids: set[str] = set()
-    dim: int | None = None
     with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
-            record = _decode_json(line, where, DatasetFormatError)
-            _check_keys(record, _BAG_KEYS, "bag record", where, DatasetFormatError)
-            # Bag owns the id, label and array rules; a file adds labels and unique ids
-            try:
+            with _naming(f"{path}:{lineno}", DatasetFormatError):
+                record = _decode_json(line)
+                _check_keys(record, _BAG_KEYS, "bag record")
+                # Bag owns the id, label and array rules; a file adds labels and unique ids
                 bag = Bag(id=record["id"], label=record["label"], instances=record["instances"])
-            except InvalidInputError as exc:
-                raise DatasetFormatError(f"{where}: {exc}") from exc
-            if bag.label is None:
-                raise DatasetFormatError(f"{where}: bag {bag.id!r} is unlabeled")
-            if bag.id in seen_ids:
-                raise DatasetFormatError(f"{where}: duplicate bag id {bag.id!r}")
-            if dim is None:
-                dim = bag.dim
-            elif bag.dim != dim:
-                raise DatasetFormatError(
-                    f"{where}: bag {bag.id!r} has dimension {bag.dim}, "
-                    f"but the file started with dimension {dim}"
-                )
+                if bag.label is None:
+                    raise InvalidInputError(f"bag {bag.id!r} is unlabeled")
+                if bag.id in seen_ids:
+                    raise InvalidInputError(f"duplicate bag id {bag.id!r}")
+                if bags and bag.dim != bags[0].dim:
+                    raise InvalidInputError(
+                        f"bag {bag.id!r} has dimension {bag.dim}, "
+                        f"but the file started with dimension {bags[0].dim}"
+                    )
             seen_ids.add(bag.id)
             bags.append(bag)
     if not bags:
@@ -141,67 +149,47 @@ def save_dataset(bags: list[Bag], path: str) -> None:
             handle.write(json.dumps(record) + "\n")
 
 
-def _hyper_from_dict(raw, path: str) -> Hyperparams:
-    _check_keys(raw, _HYPER_KEYS, "hyper", path, ModelFormatError)
-    try:
-        return Hyperparams(**raw)
-    except InvalidInputError as exc:
-        raise ModelFormatError(f"{path}: invalid hyperparameters: {exc}") from exc
-
-
 def save_model(model: SourceModel | AdaptedModel, path: str) -> None:
     """Serialize either model kind to a single JSON document."""
     if isinstance(model, AdaptedModel):
-        doc = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "phi": model.source.phi.codewords.tolist(),
-            "v": model.source.v.tolist(),
-            "psi": model.psi.codewords.tolist(),
-            "w": model.w.tolist(),
-            "hyper": asdict(model.hyper),
-        }
+        source, psi, w, hyper = model.source, model.psi.codewords.tolist(), model.w.tolist(), asdict(model.hyper)
     elif isinstance(model, SourceModel):
-        doc = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "phi": model.phi.codewords.tolist(),
-            "v": model.v.tolist(),
-            "psi": None,
-            "w": None,
-            "hyper": None,
-        }
+        source, psi, w, hyper = model, None, None, None
     else:
         raise InvalidInputError(f"cannot serialize object of type {type(model).__name__}")
+    doc = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "phi": source.phi.codewords.tolist(),
+        "v": source.v.tolist(),
+        "psi": psi,
+        "w": w,
+        "hyper": hyper,
+    }
     write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path: str) -> SourceModel | AdaptedModel:
     """Load whichever model kind the file holds."""
     with open(path, "rb") as handle:
-        doc = _decode_json(handle.read(), path, ModelFormatError)
-    _check_keys(doc, _MODEL_KEYS, "model", path, ModelFormatError)
-    version = doc["format_version"]
-    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # JSON true == 1
-        raise ModelFormatError(
-            f"{path}: expected format_version {MODEL_FORMAT_VERSION}, found {version!r}"
-        )
-    try:
-        source = SourceModel(phi=Dictionary(codewords=doc["phi"]), v=doc["v"])
-    except InvalidInputError as exc:
-        raise ModelFormatError(f"{path}: invalid source fields: {exc}") from exc
-    adaptation = (doc["psi"], doc["w"], doc["hyper"])
-    if all(part is None for part in adaptation):
-        return source
-    if any(part is None for part in adaptation):
-        raise ModelFormatError(
-            f"{path}: psi, w and hyper must be all null (source model) or all present"
-        )
-    hyper = _hyper_from_dict(doc["hyper"], path)
-    try:
-        return AdaptedModel(
-            source=source, psi=Dictionary(codewords=doc["psi"]), w=doc["w"], hyper=hyper
-        )
-    except InvalidInputError as exc:
-        raise ModelFormatError(f"{path}: invalid adaptation fields: {exc}") from exc
+        raw = handle.read()
+    with _naming(path, ModelFormatError):
+        doc = _decode_json(raw)
+        _check_keys(doc, _MODEL_KEYS, "model")
+        version = doc["format_version"]
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:  # JSON true == 1
+            raise InvalidInputError(f"expected format_version {MODEL_FORMAT_VERSION}, found {version!r}")
+        with _naming("invalid source fields"):
+            source = SourceModel(phi=Dictionary(codewords=doc["phi"]), v=doc["v"])
+        adaptation = (doc["psi"], doc["w"], doc["hyper"])
+        if all(part is None for part in adaptation):
+            return source
+        if any(part is None for part in adaptation):
+            raise InvalidInputError("psi, w and hyper must be all null (source model) or all present")
+        _check_keys(doc["hyper"], _HYPER_KEYS, "hyper")
+        with _naming("invalid hyperparameters"):
+            hyper = Hyperparams(**doc["hyper"])
+        with _naming("invalid adaptation fields"):
+            return AdaptedModel(source=source, psi=Dictionary(codewords=doc["psi"]), w=doc["w"], hyper=hyper)
 
 
 def load_source_model(path: str) -> SourceModel:
@@ -222,14 +210,12 @@ def load_synth_config(path: str) -> SynthConfig:
     """Read a synth config file: a JSON object overriding any subset of the
     ``SynthConfig`` fields."""
     with open(path, "rb") as handle:
-        raw = _decode_json(handle.read(), path, InvalidInputError)
-    _check_keys(raw, {f.name for f in fields(SynthConfig)}, "synthetic config", path, InvalidInputError,
-                subset=True)
-    # the dataclass checks the values and accepts lists for its vector fields
-    try:
-        return SynthConfig(**raw)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
+        raw = handle.read()
+    with _naming(path):
+        config = _decode_json(raw)
+        _check_keys(config, {f.name for f in fields(SynthConfig)}, "synthetic config", subset=True)
+        # the dataclass checks the values and accepts lists for its vector fields
+        return SynthConfig(**config)
 
 
 @dataclass(frozen=True)

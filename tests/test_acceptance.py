@@ -28,7 +28,7 @@ from dtmil import (
     sweep,
     train_source,
 )
-from dtmil.cli import main as cli_main
+from dtmil.cli import run_cli
 from dtmil.data import SynthConfig
 from dtmil.evaluate import sweep_rows_to_csv
 
@@ -349,14 +349,14 @@ def test_criterion_10_pipeline_determinism(tmp_path):
             tgt = str(tmp_path / f"target-{run}.jsonl")
             model = str(tmp_path / f"model-{run}.json")
             report = str(tmp_path / f"report-{run}.json")
-            assert cli_main(["synth", "--config", str(config), "--seed", "11",
-                             "--out-source", src, "--out-target", tgt]) == 0
-            assert cli_main(["train-source", "--data", src, "--words", "6",
-                             "--c", "1.0", "--seed", "11", "--out", model]) == 0
-            assert cli_main(["protocol", "--source", src, "--target", tgt,
-                             "--folds", "5", "--kappa", "5", "--inner-iters", "4",
-                             "--max-outer", "3", "--eta", "0.02", "--tol", "1e-3",
-                             "--seed", "11", "--out", report]) == 0
+            assert run_cli(["synth", "--config", str(config), "--seed", "11",
+                            "--out-source", src, "--out-target", tgt]) == 0
+            assert run_cli(["train-source", "--data", src, "--words", "6",
+                            "--c", "1.0", "--seed", "11", "--out", model]) == 0
+            assert run_cli(["protocol", "--source", src, "--target", tgt,
+                            "--folds", "5", "--kappa", "5", "--inner-iters", "4",
+                            "--max-outer", "3", "--eta", "0.02", "--tol", "1e-3",
+                            "--seed", "11", "--out", report]) == 0
             reports.append(Path(report).read_bytes())
         assert reports[0] == reports[1]
         doc = json.loads(reports[0])

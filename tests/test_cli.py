@@ -20,7 +20,7 @@ from dtmil import (
     load_dataset,
     save_dataset,
 )
-from dtmil.cli import _build_parser, _hyper_from_args, main, run_cli
+from dtmil.cli import _build_parser, _hyper_from_args, run_cli
 
 
 CAPPED_SOURCE_LINE = (
@@ -30,7 +30,7 @@ CAPPED_SOURCE_LINE = (
 
 
 def run(args):
-    return main(args)
+    return run_cli(args)
 
 
 @pytest.fixture
@@ -161,6 +161,15 @@ class TestValidationErrors:
                     "--out", str(tmp_path / "m.json")])
         assert code == 1
 
+    def test_uncreatable_output_is_named_by_the_path_given(self, tmp_path, capsys):
+        src = tmp_path / "nodir" / "s.jsonl"
+        tgt = tmp_path / "t.jsonl"
+        assert run(["synth", "--out-source", str(src), "--out-target", str(tgt)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(src)!r}\n"
+        assert ".tmp-" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command, flags, message", [
         ("train-source", ["--words", "0"], "--words must be an integer >= 1, got 0"),
         ("train-source", ["--c", "inf"], "--c must be a positive finite real, got inf"),
@@ -235,8 +244,42 @@ class TestNonUtf8Inputs:
         assert not src.exists() and not tgt.exists()
 
 
+class TestDeeplyNestedInputs:
+    """JSON nested too deeply to decode is a validation error naming the file."""
+
+    DEEP = "[" * 200000 + "]" * 200000
+
+    def test_model_names_its_file(self, workdir, capsys):
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model = tmp_path / "deep.json"
+        model.write_text(self.DEEP)
+        out = tmp_path / "eval.json"
+        capsys.readouterr()
+        assert run_cli(["eval", "--model", str(model), "--data", tgt, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {model}: invalid JSON (nested too deeply)\n"
+        assert not out.exists()
+
+    def test_dataset_names_its_line(self, tmp_path, capsys):
+        data = tmp_path / "deep.jsonl"
+        data.write_text(self.DEEP + "\n")
+        out = tmp_path / "m.json"
+        assert run_cli(["train-source", "--data", str(data), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {data}:1: invalid JSON (nested too deeply)\n"
+        assert not out.exists()
+
+    def test_synth_config_names_its_file(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text(self.DEEP)
+        src, tgt = tmp_path / "s.jsonl", tmp_path / "t.jsonl"
+        assert run_cli(["synth", "--config", str(config), "--out-source", str(src),
+                        "--out-target", str(tgt)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: invalid JSON (nested too deeply)\n"
+        assert not src.exists() and not tgt.exists()
+
+
 class TestModuleEntryPoint:
-    """``python -m dtmil.cli`` runs ``main`` and exits with its code."""
+    """``python -m dtmil.cli`` runs ``run_cli`` and exits with its code."""
 
     def run_module(self, *args):
         env = dict(os.environ)

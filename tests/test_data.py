@@ -43,8 +43,19 @@ MODEL_ARRAYS = {
     "w": ("adaptation", "adaptation weights w", 1),
 }
 
+# JSON nested past the decoder's recursion limit
+DEEP_JSON = "[" * 200000 + "]" * 200000
+
 
 class TestWriteTextAtomic:
+    def test_uncreatable_output_is_named_by_its_path(self, tmp_path):
+        target = str(tmp_path / "nodir" / "out.jsonl")
+        with pytest.raises(FileNotFoundError) as info:
+            save_dataset([Bag(id="a", label=1, instances=[[1.0]])], target)
+        assert info.value.filename == target
+        assert repr(target) in str(info.value) and ".tmp-" not in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_directory_target_raises_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out"
         target.mkdir()
@@ -133,7 +144,8 @@ class TestDatasetIO:
         ('{"id":"a","label":1}\n',
          ":1: bag record keys must be exactly ['id', 'instances', 'label']; missing ['instances']"),
         ("\n  \n\t\n", ": dataset holds no bags"),
-    ], ids=["array", "string", "missing-key", "only-blank-lines"])
+        ('{"id":"a","label":1,"instances":[[1.0]]}\n' + DEEP_JSON + "\n", ":2: invalid JSON (nested too deeply)"),
+    ], ids=["array", "string", "missing-key", "only-blank-lines", "nested-too-deeply"])
     def test_file_of_json_objects_with_exact_keys(self, tmp_path, text, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(text)
@@ -389,7 +401,8 @@ class TestModelIO:
         ('"model"', "model must be a JSON object"),
         ("not json", "invalid JSON (Expecting value)"),
         ('{"format_version": 1', "invalid JSON (Expecting ',' delimiter)"),
-    ], ids=["array", "string", "not-json", "truncated"])
+        (DEEP_JSON, "invalid JSON (nested too deeply)"),
+    ], ids=["array", "string", "not-json", "truncated", "nested-too-deeply"])
     def test_file_must_hold_one_json_object(self, tmp_path, text, message):
         path = tmp_path / "model.json"
         path.write_text(text)
@@ -578,6 +591,13 @@ class TestSynthConfig:
         path = self.config_file(tmp_path, raw)
         with pytest.raises(InvalidInputError, match=f"^{re.escape(path)}: synthetic config must be a JSON object$"):
             load_synth_config(path)
+
+    def test_config_file_nested_too_deeply_names_the_file(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(DEEP_JSON)
+        with pytest.raises(InvalidInputError) as info:
+            load_synth_config(str(path))
+        assert str(info.value) == f"{path}: invalid JSON (nested too deeply)"
 
     def test_config_file_overrides_a_subset(self, tmp_path):
         path = self.config_file(tmp_path, {"d": 3, "instances_per_bag": [2, 4], "shift_translation": [1, 2, 3]})
