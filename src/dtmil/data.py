@@ -56,7 +56,10 @@ def _atomic_output(path: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
-        os.replace(tmp_path, path)
+        try:
+            os.replace(tmp_path, path)
+        except OSError as exc:  # named as the output asked for, as above
+            raise OSError(exc.errno, exc.strerror, path) from exc
     except BaseException:
         try:
             os.unlink(tmp_path)

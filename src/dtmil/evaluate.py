@@ -20,7 +20,6 @@ import traceback
 import warnings
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
-from itertools import product
 
 import numpy as np
 
@@ -193,38 +192,12 @@ def _source_model(source: list[Bag], hyper: Hyperparams) -> SourceModel:
     return train_source(source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE))
 
 
-def _fold_jobs(target, split, hypers, source_model, conventional=False, on_fit=None, baselines=True):
-    # fold f under hypers[c] is job c*k + f; returns each job's (adapted,
-    # source-only, target-only accuracy, FitReport) in job order, calling
-    # on_fit(f, report) on each as it comes; without baselines, both
-    # baseline accuracies are None and the report is the fit's own
-    def run_job(job: int) -> tuple[float, float | None, float | None, FitReport]:
-        hyper, fold = hypers[job // split.k], job % split.k
-        inside, outside = split.partition(target, fold)
-        train, test = (outside, inside) if conventional else (inside, outside)
-        fold_hyper = replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold))
-        try:
-            model, report = fit_dtc(train, source_model, fold_hyper)
-        except InvalidInputError as err:
-            raise InvalidInputError(f"{err} in fold {fold}") from err
-        if not baselines:
-            return accuracy(model, test), None, None, report
-        # every fold's capped baseline reaches its own report, as data a
-        # forked worker can send back
-        seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            target_acc = _target_only_accuracy(train, test, hyper, seed)
-        report.warnings.extend(f"target-only baseline: {w.message}" for w in caught)
-        return accuracy(model, test), accuracy(source_model, test), target_acc, report
-
-    results = []
-    with _fold_results(run_job, len(hypers) * split.k) as jobs:
-        for job, result in enumerate(jobs):
-            if on_fit is not None:
-                on_fit(job % split.k, result[3])
-            results.append(result)
-    return results
+def _fit_fold(train: list[Bag], source_model: SourceModel, hyper: Hyperparams, fold: int):
+    # fold's fit under its derived seed; an input error names the fold
+    try:
+        return fit_dtc(train, source_model, replace(hyper, seed=derive_seed(hyper.seed, _SEED_FIT, fold)))
+    except InvalidInputError as err:
+        raise InvalidInputError(f"{err} in fold {fold}") from err
 
 
 def run_protocol(
@@ -260,16 +233,35 @@ def run_protocol(
     split = split_folds(target, k, hyper.seed)
     if source_model is None:
         source_model = _source_model(source, hyper)
-    results = _fold_jobs(target, split, [hyper], source_model, conventional, on_fit)
-    per_fold = [r[0] for r in results]
+
+    def run_fold(fold: int) -> tuple[float, float, float, FitReport]:
+        inside, outside = split.partition(target, fold)
+        train, test = (outside, inside) if conventional else (inside, outside)
+        model, report = _fit_fold(train, source_model, hyper, fold)
+        # every fold's capped baseline reaches its own report, as data a
+        # forked worker can send back
+        seed = derive_seed(hyper.seed, _SEED_TARGET_ONLY, fold)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            target_acc = _target_only_accuracy(train, test, hyper, seed)
+        report.warnings.extend(f"target-only baseline: {w.message}" for w in caught)
+        return accuracy(model, test), accuracy(source_model, test), target_acc, report
+
+    results = []
+    with _fold_results(run_fold, k) as folds:
+        for fold, result in enumerate(folds):
+            if on_fit is not None:
+                on_fit(fold, result[3])
+            results.append(result)
+    per_fold, source_only, target_only, reports = zip(*results)
     return ProtocolReport(
-        per_fold_accuracy=per_fold,
+        per_fold_accuracy=list(per_fold),
         mean_accuracy=float(np.mean(per_fold)),
         baseline_accuracies={
-            "source_only": float(np.mean([r[1] for r in results])),
-            "target_only": float(np.mean([r[2] for r in results])),
+            "source_only": float(np.mean(source_only)),
+            "target_only": float(np.mean(target_only)),
         },
-        per_fold_warnings=[r[3].warnings for r in results],
+        per_fold_warnings=[report.warnings for report in reports],
     )
 
 
@@ -294,11 +286,18 @@ def sweep(
         raise InvalidInputError("c1 and c2 grids must be nonempty")
     hypers = [replace(base_hyper, c1=c1, c2=c2) for c1 in c1_grid for c2 in c2_grid]
     split = split_folds(target, k, base_hyper.seed)
-    results = _fold_jobs(target, split, hypers, _source_model(source, base_hyper), baselines=False)
-    return [
-        {"c1": hyper.c1, "c2": hyper.c2, "fold": fold, "accuracy": acc, "warnings": report.warnings}
-        for (hyper, fold), (acc, _, _, report) in zip(product(hypers, range(k)), results)
-    ]
+    source_model = _source_model(source, base_hyper)
+
+    def run_job(job: int) -> dict:
+        # fold f of cell c is job c*k + f
+        hyper, fold = hypers[job // k], job % k
+        train, test = split.partition(target, fold)
+        model, report = _fit_fold(train, source_model, hyper, fold)
+        return {"c1": hyper.c1, "c2": hyper.c2, "fold": fold, "accuracy": accuracy(model, test),
+                "warnings": report.warnings}
+
+    with _fold_results(run_job, len(hypers) * k) as rows:
+        return list(rows)
 
 
 def sweep_rows_to_csv(rows: list[dict]) -> str:

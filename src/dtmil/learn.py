@@ -233,9 +233,12 @@ def fit_dtc(
     psi = init_dictionary(batch, hyper.kappa, hyper.seed)
     beta = np.zeros(len(batch))
 
-    for outer in range(hyper.max_outer):
+    # the pass after the last round builds the final problem, then stops
+    for outer in range(hyper.max_outer + 1):
         z = batch.embed(psi)
         prob = DualProblem(features=z, margins=margins, labels=labels, c1=hyper.c1)
+        if report.converged or outer == hyper.max_outer:
+            break
         report.warm_start_dual_values.append(dual_value(beta, prob))
         state = solve_box_qp(prob, init=beta)
         _warn_unconverged(report, state, f"outer round {outer + 1}")
@@ -254,21 +257,15 @@ def fit_dtc(
 
         if outer >= 1:
             prev, curr = report.dual_values[-2], report.dual_values[-1]
-            if abs(curr - prev) < hyper.tol * max(abs(prev), 1e-12):
-                report.converged = True
-                break
+            report.converged = abs(curr - prev) < hyper.tol * max(abs(prev), 1e-12)
 
-    z_final = batch.embed(psi)
-    prob_final = DualProblem(features=z_final, margins=margins, labels=labels, c1=hyper.c1)
     if report.outer_iterations == 0:
-        state = solve_box_qp(prob_final)
+        state = solve_box_qp(prob)
         _warn_unconverged(report, state, "single dual solve")
         beta = state.beta
-        report.final_dual_value = state.objective
-    else:
-        report.final_dual_value = dual_value(beta, prob_final)
+    report.final_dual_value = dual_value(beta, prob)
 
-    w = recover_w(beta, prob_final)
+    w = recover_w(beta, prob)
     model = AdaptedModel(source=source, psi=psi, w=w, hyper=hyper)
     report.final_beta = beta
     report.wall_time_seconds = time.perf_counter() - start

@@ -170,6 +170,21 @@ class TestValidationErrors:
         assert ".tmp-" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_that_is_a_directory_is_named_by_the_path_given(self, workdir, capsys):
+        tmp_path, config = workdir
+        src, tgt = synth(tmp_path, config)
+        model = str(tmp_path / "model.json")
+        assert run(["train-source", "--data", src, "--words", "3", "--out", model]) == 0
+        out = tmp_path / "outdir"
+        out.mkdir()
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(["eval", "--model", model, "--data", tgt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+        assert ".tmp-" not in err
+        assert sorted(tmp_path.iterdir()) == before and list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, flags, message", [
         ("train-source", ["--words", "0"], "--words must be an integer >= 1, got 0"),
         ("train-source", ["--c", "inf"], "--c must be a positive finite real, got inf"),

@@ -56,6 +56,17 @@ class TestWriteTextAtomic:
         assert repr(target) in str(info.value) and ".tmp-" not in str(info.value)
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_that_is_a_directory_is_named_by_its_path(self, tmp_path):
+        # the rename fails, after the temporary file was written in full
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            save_dataset([Bag(id="a", label=1, instances=[[1.0]])], str(target))
+        assert (info.value.filename, info.value.filename2) == (str(target), None)
+        assert repr(str(target)) in str(info.value) and ".tmp-" not in str(info.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
+
     def test_directory_target_raises_and_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out"
         target.mkdir()
