@@ -11,10 +11,12 @@ argmax assignment run over all of them in one pass; it is the only way from
 a bag list to scores.  Features and scores sum every dot product row-wise,
 so they are the same bits in any batch.  Only the argmax reads a gemm, and
 only where a rounding-error bound proves that the gemm picks the row-wise
-argmax; it recomputes every other pick row-wise.  Everything in this module
-is immutable after construction (a batch's instance norms are cached on
-first use, deterministically); all functions may be called concurrently
-without coordination.
+argmax; it recomputes every other pick row-wise.  A descent step hands it
+the previous step's picks, which it re-certifies against the same bound:
+only the cells where another instance comes near are recomputed.
+Everything in this module is immutable after construction (a batch's
+instance norms are cached on first use, deterministically); all functions
+may be called concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -122,6 +124,18 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     top = np.abs(rows).max(axis=1)
     unit = rows / np.where(top > 0, top, 1.0)[:, None]
     return top * np.sqrt((unit * unit).sum(axis=1))
+
+
+def _certified_picks(dots, firsts, counts, margins) -> np.ndarray:
+    # the pick of each segment of ``dots``' last axis that starts at one of
+    # ``firsts``, where exactly one dot is at or above the segment's top
+    # minus its margin (see BagBatch._argmax), and -1 where not
+    thresholds = np.maximum.reduceat(dots, firsts, axis=-1) - margins
+    near = dots >= np.repeat(thresholds, counts, axis=-1)
+    sure = np.isfinite(thresholds) & (np.add.reduceat(near, firsts, axis=-1, dtype=np.intp) == 1)
+    # where exactly one dot is near the top, this sum is its index
+    picks = np.add.reduceat(near * np.arange(dots.shape[-1]), firsts, axis=-1) - firsts
+    return np.where(sure, picks, -1)
 
 
 @dataclass(frozen=True)
@@ -311,6 +325,12 @@ class BagBatch:
             raise InvalidInputError(
                 f"codewords must have shape (K, {self.dim}), got {codewords.shape}"
             )
+        return self._argmax(codewords)
+
+    def _argmax(self, codewords: np.ndarray, previous: np.ndarray | None = None) -> np.ndarray:
+        # argmax of checked codewords; of a (K, n) table ``previous`` of
+        # in-range indices it keeps the picks the certificate below still
+        # proves, and re-certifies the other cells: the same picks for any table
         # Whatever order a gemm sums in, fused or not, its dot and the
         # row-wise dot each lie within gamma_d * sum_j |x_j w_j| <=
         # (d eps / 2) ||w|| ||x|| of the exact value, plus d times the smallest
@@ -320,28 +340,46 @@ class BagBatch:
         # bag's largest instance norm.  When exactly one instance has a gemm
         # dot within 2 err = 8 D of the bag's top, its row-wise dot beats
         # every other row-wise dot strictly, with room for the rounding of
-        # the threshold itself.
+        # the threshold itself.  A previous pick whose gemm dot is the only
+        # one within 8 D of its own is the top, and so passes the same test.
         d, m = self.dim, self.instances.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             dots = codewords @ self.instances.T
-            top = np.maximum.reduceat(dots, self.starts, axis=1)
-            # 2d ||w|| X is infinite, and so is the threshold, wherever a
+            # 2d ||w|| X is infinite, and so is the margin, wherever a
             # product or partial sum of a dot could overflow; a finite
             # threshold thus vouches for every dot
             bound = np.multiply.outer(_row_norms(codewords), self._bag_norms) * (2 * d)
-            thresholds = top - 2 * (bound * (2 * _EPS) + 4 * d * _TINY)
-            near = dots >= np.repeat(thresholds, self.counts, axis=1)
-        sure = np.isfinite(thresholds) & (np.add.reduceat(near, self.starts, axis=1, dtype=np.intp) == 1)
-        # where exactly one instance is near the top, this sum is its index
-        picks = np.add.reduceat(near * np.arange(m), self.starts, axis=1) - self.starts
-        if not sure.all():
-            for k, i in zip(*np.nonzero(~sure)):
-                start = self.starts[i]
-                exact = _instance_dots(self.instances[start : start + self.counts[i]], codewords[k])
-                hits = np.flatnonzero(exact == exact.max())
-                if hits.size == 0:
-                    raise InvalidInputError(f"codeword {k} has a NaN dot product with an instance of bag {i}")
-                picks[k, i] = hits[0]
+            margins = 2 * (bound * (2 * _EPS) + 4 * d * _TINY)
+            if previous is None:
+                picks = _certified_picks(dots, self.starts, self.counts, margins)
+            else:
+                # where each cell's segment and previous pick sit in the flat dots
+                flat = dots.ravel()
+                firsts = np.arange(0, flat.size, m)[:, None] + self.starts
+                at = firsts + previous
+                thresholds = flat[at] - margins
+                near = dots >= np.repeat(thresholds, self.counts, axis=1)
+                near.ravel()[at] = False
+                # the cells where another instance comes near go through the
+                # certificate again, their segments gathered flat (a 1-D
+                # nonzero is far cheaper than a 2-D one)
+                redo = ~np.isfinite(thresholds)
+                j = np.flatnonzero(near)
+                redo[j // m, np.searchsorted(self.starts, j % m, side="right") - 1] = True
+                cells = np.flatnonzero(redo)
+                counts = self.counts[cells % len(self)]
+                offsets = np.cumsum(counts) - counts
+                segments = np.arange(counts.sum()) + np.repeat(firsts.ravel()[cells] - offsets, counts)
+                picks = previous.copy()
+                picks.ravel()[cells] = _certified_picks(flat[segments], offsets, counts, margins.ravel()[cells])
+        for cell in np.flatnonzero(picks < 0):
+            k, i = divmod(int(cell), picks.shape[1])
+            start = self.starts[i]
+            exact = _instance_dots(self.instances[start : start + self.counts[i]], codewords[k])
+            hits = np.flatnonzero(exact == exact.max())
+            if hits.size == 0:
+                raise InvalidInputError(f"codeword {k} has a NaN dot product with an instance of bag {i}")
+            picks[k, i] = hits[0]
         return picks
 
 

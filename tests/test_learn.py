@@ -33,7 +33,7 @@ from dtmil import (
 import dtmil.core
 from dtmil.core import _instance_dots
 from dtmil.data import SynthConfig
-from dtmil.learn import CODEWORD_NORM_CAP
+from dtmil.learn import _WARM_ARGMAX_CELLS, CODEWORD_NORM_CAP
 from dtmil.qp import DualProblem
 
 
@@ -361,6 +361,29 @@ class TestUpdateCodeword:
                     assert np.array_equal(np.signbit(out), np.signbit(ref)), (d, kappa, inner_iters)
         assert seen["tie"] > 0 and seen["cap"] > 0, seen
 
+    def test_warm_steps_match_per_codeword_reference_bit_for_bit(self):
+        # enough cells that every step after the first re-certifies the
+        # previous picks and rebuilds u only for codewords whose picks changed
+        rng = np.random.default_rng(37)
+        d, kappa = 6, 20
+        bags = [
+            Bag(id=f"b{i}", instances=rng.integers(-3, 4, size=(int(rng.integers(1, 8)), d)) * rng.choice([1.0, 0.37]))
+            for i in range(40)
+        ]
+        batch = BagBatch(bags)
+        assert kappa * len(batch) >= _WARM_ARGMAX_CELLS
+        words = rng.normal(size=(kappa, d)) * rng.choice([1.0, 20.0], size=(kappa, 1))
+        words[:3] = rng.integers(-2, 3, size=(3, d))
+        beta = rng.uniform(0.0, 1.0, size=len(bags))
+        labels = rng.choice([1, -1], size=len(bags))
+        seen = {"tie": 0, "cap": 0}
+        for c1, inner_iters in ((1.0, 12), (0.05, 6)):
+            hyper = Hyperparams(c1=c1, c2=0.1, eta=0.3, inner_iters=inner_iters)
+            out = update_codeword(Dictionary(codewords=words), batch, beta, labels, hyper).codewords
+            ref = np.vstack([_reference_update_codeword(w, batch, beta, labels, hyper, seen) for w in words])
+            assert np.array_equal(out, ref) and np.array_equal(np.signbit(out), np.signbit(ref)), c1
+        assert seen["tie"] > 0 and seen["cap"] > 0, seen
+
 
 def _count_exact_picks(monkeypatch):
     # BagBatch.argmax calls _instance_dots only to recompute a pick exactly;
@@ -481,6 +504,115 @@ class TestCertifiedArgmax:
         assert not batch._bag_norms.flags.writeable
 
 
+def _adversarial_input(d):
+    # the rows and codewords of TestCertifiedArgmax's adversarial test
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=d)
+    x_ulp = x.copy()
+    x_ulp[-1] = np.nextafter(x[-1], np.inf)
+    rows = {
+        "duplicates": [x, x, rng.normal(size=d)],
+        "one ulp apart": [x, x_ulp],
+        "one ulp apart, reversed": [x_ulp, x, -x],
+        "single": [x],
+        "single generic": [rng.normal(size=d)],
+        "zero": np.zeros((2, d)),
+        "subnormal": rng.normal(size=(3, d)) * 1e-310,
+        "smallest subnormal": [np.full(d, 5e-324), np.full(d, 1e-323), np.zeros(d)],
+        "near overflow": rng.normal(size=(3, d)) * 1e154,
+        "huge duplicates": [x * 1e300, x * 1e300, -x * 1e300],
+        "generic": rng.normal(size=(6, d)),
+    }
+    w = rng.normal(size=d)
+    for i in range(40):
+        a, b = rng.normal(size=(2, d))
+        rows[f"near tie {i}"] = [a, b + ((a - b) @ w / (w @ w)) * w]
+    batch = BagBatch([Bag(id=name, instances=r) for name, r in rows.items()])
+    words = np.vstack([
+        x, -x, np.zeros(d), w, rng.integers(-2, 3, size=d),
+        x * 1e-300, x * 1e3, np.full(d, 5e-324),
+    ])
+    return batch, words
+
+
+def _just_past_a_flip(batch, start, stop):
+    # codewords a and b on the segment from ``start`` to ``stop``, adjacent
+    # floats apart in its parameter, whose picks differ; the cold path finds
+    # them, as it is the reference's (TestCertifiedArgmax)
+    lo, hi = 0.0, 1.0
+    picks = lambda s: batch.argmax([start + s * (stop - start)])
+    low = picks(lo)
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if np.array_equal(picks(mid), low):
+            lo = mid
+        else:
+            hi = mid
+    return start + lo * (stop - start), start + hi * (stop - start)
+
+
+class TestWarmArgmax:
+    """``BagBatch._argmax(codewords, previous)``, which keeps each previous
+    pick only where the certificate still proves it, gives the reference
+    picks for any in-range table, through the same exact recomputations as
+    the cold path."""
+
+    @staticmethod
+    def check(batch, words, previous, monkeypatch):
+        exact = _count_exact_picks(monkeypatch)
+        cold = batch._argmax(words)
+        cold_exact = list(exact)
+        exact.clear()
+        warm = batch._argmax(words, previous)
+        assert np.array_equal(warm, _reference_table(batch, words))
+        assert np.array_equal(warm, cold) and warm.dtype == np.intp
+        assert exact == cold_exact
+        return cold_exact
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 64])
+    def test_any_table_gives_the_reference_picks(self, d, monkeypatch):
+        batch, words = _adversarial_input(d)
+        rng = np.random.default_rng(d)
+        right = _reference_table(batch, words)
+        shuffled = rng.integers(0, batch.counts, size=right.shape)
+        assert self.check(batch, words, right, monkeypatch)  # the ties must reach the exact path
+        self.check(batch, words, shuffled, monkeypatch)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 64])
+    def test_step_just_past_a_flip(self, d, monkeypatch):
+        # each codeword steps from a table's last float to the first float
+        # past a pick flip, the smallest step that changes a pick
+        batch, words = _adversarial_input(d)
+        flips = [
+            _just_past_a_flip(batch, a, b)
+            for a, b in zip(words, np.roll(words, 1, axis=0))
+            if not np.array_equal(_reference_table(batch, [a]), _reference_table(batch, [b]))
+        ]
+        before, after = (np.vstack(end) for end in zip(*flips))
+        previous = _reference_table(batch, before)
+        assert len(flips) >= 4 and not np.array_equal(previous, _reference_table(batch, after))
+        self.check(batch, after, previous, monkeypatch)
+
+    def test_overflowing_dots_take_the_exact_path(self, monkeypatch):
+        huge = np.full(3, 1e307)
+        batch = BagBatch([
+            Bag(id="inf", instances=[huge * 0.5, huge, huge]),
+            Bag(id="finite", instances=[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+        ])
+        words = np.array([[10.0, 10.0, 10.0], [1.0, 2.0, 3.0]])
+        with np.errstate(over="ignore"):
+            for previous in ([[1, 1], [1, 1]], [[0, 0], [2, 0]]):
+                assert self.check(batch, words, np.array(previous), monkeypatch) == [3, 3]
+
+    @pytest.mark.parametrize("previous", [[[0, 0], [0, 0]], [[0, 1], [0, 1]]])
+    def test_nan_dot_is_rejected_as_on_the_cold_path(self, previous):
+        # a NaN at a bag's previous pick or beside it
+        batch = BagBatch([bag([1.0, 0.0]), bag([1.0, 0.0], [1e308, -1e308])])
+        words = np.array([[1.0, 0.0], [10.0, 10.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="^codeword 1 has a NaN dot product with an instance of bag 1$"):
+                batch._argmax(words, np.array(previous))
+
+
 class TestRecoverW:
     def test_zero_beta(self):
         prob = DualProblem(features=[[1.0, 2.0]], margins=[1.0], labels=[1], c1=1.0)
@@ -575,6 +707,20 @@ class TestFitDTC:
         peak = traced_peak(fit_dtc, target, model, Hyperparams(kappa=5, inner_iters=2, max_outer=2, seed=0))
         # one n x n Gram is n * n * 8 bytes; two at once would pass 2x
         assert peak < 1.75 * len(target) ** 2 * 8
+
+    def test_warm_descent_steps_add_no_batch_sized_array(self, traced_peak):
+        # steps after the first carry one (K, n) pick table and one (K, d) u
+        # and no (K, M) array beyond those of the first step's argmax
+        _, target = generate_synthetic(SynthConfig(), 3)
+        batch = BagBatch(target)
+        labels = [b.label for b in target]
+        beta = np.full(len(target), 1.0 / len(target))
+        psi = init_dictionary(batch, 20, 3)
+        one, five = (
+            traced_peak(update_codeword, psi, batch, beta, labels, Hyperparams(inner_iters=steps))
+            for steps in (1, 5)
+        )
+        assert five <= one + psi.size * (len(batch) + batch.dim) * 8
 
     def test_rejects_empty_and_unlabeled(self):
         with pytest.raises(InvalidInputError):
