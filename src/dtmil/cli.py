@@ -15,7 +15,7 @@ import sys
 import warnings
 from dataclasses import asdict, fields
 
-from .core import AdaptedModel, Hyperparams, _check_int, _check_real, embed_bag
+from .core import AdaptedModel, Hyperparams, _check_int, _check_real, _frozen, embed_bag
 from .data import (
     SynthConfig,
     generate_synthetic,
@@ -124,9 +124,7 @@ def _cmd_eval(args) -> int:
     model = load_model(args.model)
     bags = load_dataset(args.data)
     acc = accuracy(model, bags)
-    write_text_atomic(
-        args.out, json.dumps({"accuracy": acc, "n": len(bags)}, sort_keys=True) + "\n"
-    )
+    write_text_atomic(args.out, [json.dumps({"accuracy": acc, "n": len(bags)}, sort_keys=True) + "\n"])
     _log(f"accuracy {acc:.4f} on {len(bags)} bags -> {args.out}")
     return 0
 
@@ -151,7 +149,7 @@ def _cmd_protocol(args) -> int:
         "baselines": report.baseline_accuracies,
         "hyper": asdict(hyper),
     }
-    write_text_atomic(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(args.out, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
     _log(
         f"protocol mean accuracy {report.mean_accuracy:.4f} "
         f"(source-only {report.baseline_accuracies['source_only']:.4f}, "
@@ -181,25 +179,27 @@ def _cmd_sweep(args) -> int:
     for row in rows:
         for warning in row["warnings"]:
             _log(f"c1={row['c1']} c2={row['c2']} fold {row['fold']}: warning: {warning}")
-    write_text_atomic(args.out, sweep_rows_to_csv(rows))
+    write_text_atomic(args.out, [sweep_rows_to_csv(rows)])
     _log(f"swept {len(c1_grid)}x{len(c2_grid)} grid over {args.folds} folds -> {args.out}")
     return 0
 
 
 def _cmd_embed(args) -> int:
     model = load_model(args.model)
-    bags = load_dataset(args.data)
     if args.dict == "phi":
         dictionary = model.source.phi if isinstance(model, AdaptedModel) else model.phi
-    else:
-        if not isinstance(model, AdaptedModel):
-            raise InvalidInputError("model file holds no transfer dictionary; --dict psi needs an adapted model")
+    elif isinstance(model, AdaptedModel):
         dictionary = model.psi
-    lines = [
-        json.dumps({"id": bag.id, "features": embed_bag(bag, dictionary).tolist()})
-        for bag in bags
-    ]
-    write_text_atomic(args.out, "\n".join(lines) + "\n")
+    else:  # before the dataset is read, as for any flag
+        raise InvalidInputError("model file holds no transfer dictionary; --dict psi needs an adapted model")
+    bags = load_dataset(args.data)
+
+    def line(bag) -> str:
+        # the one array rule keeps inf and NaN, which JSON lacks, out of the file
+        features = _frozen(embed_bag(bag, dictionary), f"feature vector of bag {bag.id!r}", 1)
+        return json.dumps({"id": bag.id, "features": features.tolist()}) + "\n"
+
+    write_text_atomic(args.out, (line(bag) for bag in bags))
     _log(f"embedded {len(bags)} bags against {args.dict} -> {args.out}")
     return 0
 

@@ -5,12 +5,13 @@ Datasets are UTF-8 JSON lines, one bag per line:
     {"id": "b1", "label": 1, "instances": [[1.0, 2.0], [0.5, -1.0]]}
 
 Blank lines are ignored; anything else that deviates is an error.  A dataset
-is written one bag line at a time, never held whole.  Models are a single
-JSON document with a pinned ``format_version``; a source-only model stores
-null for the adaptation fields.  Numbers are serialized with full round-trip
-precision, so save/load is bit-exact.  A synth config file is one JSON object
-overriding any subset of the ``SynthConfig`` fields.  Every input file is
-read here, and each of its errors names the file.
+is streamed one bag line at a time through ``write_text_atomic``, the writer
+of every output file.  Models are a single JSON document with a pinned
+``format_version``; a source-only model stores null for the adaptation
+fields.  Numbers are serialized with full round-trip precision, so save/load
+is bit-exact.  A synth config file is one JSON object overriding any subset of
+the ``SynthConfig`` fields.  Every input file is read here, and each of its
+errors names the file.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
@@ -41,12 +43,11 @@ _BAG_KEYS = {"id", "label", "instances"}
 _HYPER_KEYS = {f.name for f in fields(Hyperparams)}
 
 
-@contextmanager
-def _atomic_output(path: str):
-    # a handle on a temporary file beside ``path``, renamed over it on success
-    # and removed on any error, which leaves ``path`` as it was
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write each text chunk in turn to a temporary file beside ``path``, then
+    rename it over ``path``, so a failure, in the chunks' iterable too, leaves
+    ``path`` as it was and no temporary file behind."""
+    tmp_path = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
     # mode 0o666 through the umask, as for any new file; mkstemp forces 0o600
     try:
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -55,7 +56,7 @@ def _atomic_output(path: str):
         raise
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            yield handle
+            handle.writelines(chunks)
         try:
             os.replace(tmp_path, path)
         except OSError as exc:  # named as the output asked for, as above
@@ -66,13 +67,6 @@ def _atomic_output(path: str):
         except OSError:
             pass
         raise
-
-
-def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temporary file in the target directory, then rename, so a
-    failure never leaves a partial output file behind."""
-    with _atomic_output(path) as handle:
-        handle.write(text)
 
 
 @contextmanager
@@ -146,10 +140,10 @@ def save_dataset(bags: list[Bag], path: str) -> None:
         raise InvalidInputError("bag ids must be unique within a dataset file")
     if len({bag.dim for bag in bags}) != 1:
         raise InvalidInputError("bags in a dataset file must share one dimension")
-    with _atomic_output(path) as handle:
-        for bag in bags:
-            record = {"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()}
-            handle.write(json.dumps(record) + "\n")
+    write_text_atomic(path, (
+        json.dumps({"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()}) + "\n"
+        for bag in bags
+    ))
 
 
 def save_model(model: SourceModel | AdaptedModel, path: str) -> None:
@@ -168,7 +162,7 @@ def save_model(model: SourceModel | AdaptedModel, path: str) -> None:
         "w": w,
         "hyper": hyper,
     }
-    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def load_model(path: str) -> SourceModel | AdaptedModel:

@@ -12,13 +12,16 @@ import pytest
 import dtmil
 from dtmil import (
     Bag,
+    Dictionary,
     Hyperparams,
+    SourceModel,
     SynthConfig,
     embed_bag,
     generate_synthetic,
     load_adapted_model,
     load_dataset,
     save_dataset,
+    save_model,
 )
 from dtmil.cli import _build_parser, _hyper_from_args, run_cli
 
@@ -456,6 +459,43 @@ class TestPipeline:
         code = run(["embed", "--model", model, "--data", tgt, "--dict", "psi",
                     "--out", str(tmp_path / "f.jsonl")])
         assert code == 1
+
+    def test_embed_psi_on_source_model_fails_before_the_dataset_is_read(self, tmp_path, capsys):
+        model = str(tmp_path / "m.json")
+        save_model(SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[1.0]), model)
+        out = tmp_path / "f.jsonl"
+        assert run(["embed", "--model", model, "--data", str(tmp_path / "missing.jsonl"),
+                    "--dict", "psi", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: model file holds no transfer dictionary; --dict psi needs an adapted model\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("instance, codeword", [
+        ([1e200, 1e200], [1e200, 1e200]),  # the dot overflows to inf
+        ([1e308, 1e308], [10.0, -10.0]),  # inf - inf is NaN
+    ], ids=["inf", "nan"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_embed_rejects_a_non_finite_feature_and_writes_nothing(
+        self, tmp_path, capsys, instance, codeword, existing
+    ):
+        # JSON has no inf or NaN, so such a feature fails the run at its bag
+        model, data = str(tmp_path / "m.json"), str(tmp_path / "d.jsonl")
+        save_model(SourceModel(phi=Dictionary(codewords=[codeword]), v=[1.0]), model)
+        save_dataset([Bag(id="small", label=1, instances=[[1.0, 2.0]]),
+                      Bag(id="huge", label=-1, instances=[instance]),
+                      Bag(id="after", label=1, instances=[[3.0, 4.0]])], data)
+        out = tmp_path / "f.jsonl"
+        if existing:
+            out.write_text("old features\n")
+        before = sorted(tmp_path.iterdir())
+        assert run(["embed", "--model", model, "--data", data, "--dict", "phi", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: feature vector of bag 'huge' contains non-finite entries"
+        assert all(line.startswith("embed: warning: ") for line in err.splitlines()[:-1])
+        assert sorted(tmp_path.iterdir()) == before  # no output and no temporary file
+        if existing:
+            assert out.read_text() == "old features\n"
 
 
 class TestProtocolCommand:

@@ -71,7 +71,7 @@ class TestWriteTextAtomic:
         target = tmp_path / "out"
         target.mkdir()
         with pytest.raises(OSError):
-            write_text_atomic(str(target), "text\n")
+            write_text_atomic(str(target), ["text\n"])
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(target.iterdir()) == []
 
@@ -80,11 +80,27 @@ class TestWriteTextAtomic:
         target = tmp_path / "out.txt"
         old = os.umask(umask)
         try:
-            write_text_atomic(str(target), "text\n")
+            write_text_atomic(str(target), ["text\n"])
         finally:
             os.umask(old)
         assert stat.S_IMODE(target.stat().st_mode) == mode
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_chunks_that_raise_leave_no_file_and_the_old_one_intact(self, tmp_path, existing):
+        target = tmp_path / "out.txt"
+        if existing:
+            target.write_text("old contents\n")
+
+        def chunks():
+            yield "first line\n"
+            raise ValueError("second chunk")
+
+        with pytest.raises(ValueError, match="second chunk"):
+            write_text_atomic(str(target), chunks())
+        assert [p.name for p in tmp_path.iterdir()] == (["out.txt"] if existing else [])
+        if existing:
+            assert target.read_text() == "old contents\n"
 
 
 def wide_bags(n, seed=0):

@@ -402,6 +402,40 @@ def _reference_table(batch, words):
     return np.vstack([_reference_argmax(batch, w, {"tie": 0}) for w in words])
 
 
+def _adversarial_input(d):
+    # duplicate, one-ulp-apart, subnormal, near-overflow and near-tie rows, and
+    # codewords that reach the exact path on them
+    rng = np.random.default_rng(d)
+    x = rng.normal(size=d)
+    x_ulp = x.copy()
+    x_ulp[-1] = np.nextafter(x[-1], np.inf)
+    rows = {
+        "duplicates": [x, x, rng.normal(size=d)],
+        "one ulp apart": [x, x_ulp],
+        "one ulp apart, reversed": [x_ulp, x, -x],
+        "single": [x],
+        "single generic": [rng.normal(size=d)],
+        "zero": np.zeros((2, d)),
+        "subnormal": rng.normal(size=(3, d)) * 1e-310,
+        "smallest subnormal": [np.full(d, 5e-324), np.full(d, 1e-323), np.zeros(d)],
+        "near overflow": rng.normal(size=(3, d)) * 1e154,
+        "huge duplicates": [x * 1e300, x * 1e300, -x * 1e300],
+        "generic": rng.normal(size=(6, d)),
+    }
+    # distinct rows whose dots with w tie up to rounding, which a gemm
+    # and the row-wise sums round differently
+    w = rng.normal(size=d)
+    for i in range(40):
+        a, b = rng.normal(size=(2, d))
+        rows[f"near tie {i}"] = [a, b + ((a - b) @ w / (w @ w)) * w]
+    batch = BagBatch([Bag(id=name, instances=r) for name, r in rows.items()])
+    words = np.vstack([
+        x, -x, np.zeros(d), w, rng.integers(-2, 3, size=d),
+        x * 1e-300, x * 1e3, np.full(d, 5e-324),
+    ])
+    return batch, words
+
+
 class TestCertifiedArgmax:
     """``BagBatch.argmax`` takes a pick from its gemm only where a
     rounding-error bound proves it equal to the row-wise argmax, and
@@ -409,38 +443,11 @@ class TestCertifiedArgmax:
 
     @pytest.mark.parametrize("d", [1, 2, 10, 64])
     def test_matches_row_wise_reference_on_adversarial_input(self, d, monkeypatch):
-        rng = np.random.default_rng(d)
-        x = rng.normal(size=d)
-        x_ulp = x.copy()
-        x_ulp[-1] = np.nextafter(x[-1], np.inf)
-        rows = {
-            "duplicates": [x, x, rng.normal(size=d)],
-            "one ulp apart": [x, x_ulp],
-            "one ulp apart, reversed": [x_ulp, x, -x],
-            "single": [x],
-            "single generic": [rng.normal(size=d)],
-            "zero": np.zeros((2, d)),
-            "subnormal": rng.normal(size=(3, d)) * 1e-310,
-            "smallest subnormal": [np.full(d, 5e-324), np.full(d, 1e-323), np.zeros(d)],
-            "near overflow": rng.normal(size=(3, d)) * 1e154,
-            "huge duplicates": [x * 1e300, x * 1e300, -x * 1e300],
-            "generic": rng.normal(size=(6, d)),
-        }
-        # distinct rows whose dots with w tie up to rounding, which a gemm
-        # and the row-wise sums round differently
-        w = rng.normal(size=d)
-        for i in range(40):
-            a, b = rng.normal(size=(2, d))
-            rows[f"near tie {i}"] = [a, b + ((a - b) @ w / (w @ w)) * w]
-        batch = BagBatch([Bag(id=name, instances=r) for name, r in rows.items()])
-        words = np.vstack([
-            x, -x, np.zeros(d), w, rng.integers(-2, 3, size=d),
-            x * 1e-300, x * 1e3, np.full(d, 5e-324),
-        ])
+        batch, words = _adversarial_input(d)
         exact = _count_exact_picks(monkeypatch)
         picks = batch.argmax(words)
         assert np.array_equal(picks, _reference_table(batch, words))
-        assert picks.dtype == np.intp and exact  # the ties above must reach the exact path
+        assert picks.dtype == np.intp and exact  # the near ties must reach the exact path
 
     def test_ties_and_near_ties_take_the_exact_path(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -502,37 +509,6 @@ class TestCertifiedArgmax:
         batch.argmax([[1.0, 0.0]])
         assert batch._bag_norms.tolist() == [5.0, 1e200]
         assert not batch._bag_norms.flags.writeable
-
-
-def _adversarial_input(d):
-    # the rows and codewords of TestCertifiedArgmax's adversarial test
-    rng = np.random.default_rng(d)
-    x = rng.normal(size=d)
-    x_ulp = x.copy()
-    x_ulp[-1] = np.nextafter(x[-1], np.inf)
-    rows = {
-        "duplicates": [x, x, rng.normal(size=d)],
-        "one ulp apart": [x, x_ulp],
-        "one ulp apart, reversed": [x_ulp, x, -x],
-        "single": [x],
-        "single generic": [rng.normal(size=d)],
-        "zero": np.zeros((2, d)),
-        "subnormal": rng.normal(size=(3, d)) * 1e-310,
-        "smallest subnormal": [np.full(d, 5e-324), np.full(d, 1e-323), np.zeros(d)],
-        "near overflow": rng.normal(size=(3, d)) * 1e154,
-        "huge duplicates": [x * 1e300, x * 1e300, -x * 1e300],
-        "generic": rng.normal(size=(6, d)),
-    }
-    w = rng.normal(size=d)
-    for i in range(40):
-        a, b = rng.normal(size=(2, d))
-        rows[f"near tie {i}"] = [a, b + ((a - b) @ w / (w @ w)) * w]
-    batch = BagBatch([Bag(id=name, instances=r) for name, r in rows.items()])
-    words = np.vstack([
-        x, -x, np.zeros(d), w, rng.integers(-2, 3, size=d),
-        x * 1e-300, x * 1e3, np.full(d, 5e-324),
-    ])
-    return batch, words
 
 
 def _just_past_a_flip(batch, start, stop):
