@@ -118,7 +118,10 @@ def accuracy(model: AdaptedModel | SourceModel, bags: list[Bag]) -> float:
         score = score_source
     else:
         raise InvalidInputError(f"unsupported model type {type(model).__name__}")
-    return int(np.count_nonzero(predict(score(BagBatch(bags), model)) == labels)) / len(bags)
+    scores = score(BagBatch(bags), model)
+    if not np.isfinite(scores).all():  # name the bag; predict's array rule cannot
+        raise InvalidInputError(f"score of bag {bags[int(np.argmin(np.isfinite(scores)))].id!r} is not finite")
+    return int(np.count_nonzero(predict(scores) == labels)) / len(bags)
 
 
 def _target_only_accuracy(train: list[Bag], test: list[Bag], hyper: Hyperparams, seed: int) -> float:

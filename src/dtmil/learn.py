@@ -188,24 +188,20 @@ def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
     Sampling is uniform without replacement over the stacked instances (with
     replacement only when the pool is smaller than ``size``).  Zero instances
     are removed from the pool first (a zero codeword could never move); if
-    every instance is zero the data is unusable.  A row whose norm over- or
-    underflows is divided by its largest magnitude first.
+    every instance is zero the data is unusable.  Each sampled row is divided
+    by its largest magnitude, then by its norm: a row whose largest magnitude
+    is 1 has a norm in [1, sqrt(d)], which can neither overflow nor underflow.
     """
     _check_int(size, "dictionary size", 1)
     _check_int(seed, "seed", 0)
-    with np.errstate(over="ignore"):  # an overflowed norm is redone below
-        norms = np.linalg.norm(batch.instances, axis=1)
     tops = np.abs(batch.instances).max(axis=1)
     pool = np.flatnonzero(tops > 0.0)
     if pool.shape[0] == 0:
         raise DegenerateInputError("every pooled instance is the zero vector")
     rng = np.random.default_rng(seed)
     idx = pool[rng.choice(pool.shape[0], size=size, replace=pool.shape[0] < size)]
-    rows, norms = batch.instances[idx], norms[idx]
-    bad = ~(np.isfinite(norms) & (norms > 0.0))
-    rows[bad] /= tops[idx[bad], None]  # its largest magnitude is 1, its norm in [1, sqrt(d)]
-    norms[bad] = np.linalg.norm(rows[bad], axis=1)
-    return Dictionary(codewords=rows / norms[:, None])
+    rows = batch.instances[idx] / tops[idx, None]
+    return Dictionary(codewords=rows / np.linalg.norm(rows, axis=1)[:, None])
 
 
 def _capped_text(state: DualState, where: str) -> str:

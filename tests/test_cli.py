@@ -497,6 +497,22 @@ class TestPipeline:
         if existing:
             assert out.read_text() == "old features\n"
 
+    @pytest.mark.parametrize("instance, codeword", [
+        ([1e200, 1e200], [1e200, 1e200]),  # the score overflows to inf
+        ([1e308, 1e308], [10.0, -10.0]),  # inf - inf is NaN
+    ], ids=["inf", "nan"])
+    def test_eval_names_the_bag_whose_score_is_not_finite(self, tmp_path, capsys, instance, codeword):
+        model, data = str(tmp_path / "m.json"), str(tmp_path / "d.jsonl")
+        save_model(SourceModel(phi=Dictionary(codewords=[codeword]), v=[1.0]), model)
+        save_dataset([Bag(id="small", label=1, instances=[[1.0, 2.0]]),
+                      Bag(id="huge", label=-1, instances=[instance])], data)
+        before = sorted(tmp_path.iterdir())
+        assert run(["eval", "--model", model, "--data", data, "--out", str(tmp_path / "e.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: score of bag 'huge' is not finite"
+        assert all(line.startswith("eval: warning: ") for line in err.splitlines()[:-1])
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestProtocolCommand:
     def test_byte_identical_reports(self, workdir):

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 
@@ -694,6 +696,45 @@ class TestGenerateSynthetic:
             if b.label == 1:
                 witnesses = int(np.sum(b.instances[:, 0] > 25.0))
                 assert witnesses >= int(np.ceil(0.5 * b.size))
+
+    def test_rotation_turns_the_first_two_coordinates_elementwise(self):
+        # with no noise the shift draws nothing, so a 0-degree run gives the
+        # unturned target; the turn is cos x0 - sin x1 and sin x0 + cos x1
+        # to the bit, and leaves the other coordinates as they were
+        base = dict(d=4, bags_per_class_source=2, bags_per_class_target=6, shift_translation=0.0, noise_sigma=0.0)
+        _, still = generate_synthetic(SynthConfig(**base, shift_rotation_degrees=0.0), seed=6)
+        _, turned = generate_synthetic(SynthConfig(**base, shift_rotation_degrees=30.0), seed=6)
+        cos, sin = np.cos(np.radians(30.0)), np.sin(np.radians(30.0))
+        for a, b in zip(still, turned):
+            x0, x1 = a.instances[:, 0], a.instances[:, 1]
+            assert np.array_equal(b.instances[:, 0], cos * x0 - sin * x1)
+            assert np.array_equal(b.instances[:, 1], sin * x0 + cos * x1)
+            assert np.array_equal(b.instances[:, 2:], a.instances[:, 2:])
+
+    def test_target_bytes_do_not_depend_on_the_blas_kernel(self):
+        # OPENBLAS_CORETYPE forces a kernel of numpy's DYNAMIC_ARCH OpenBLAS;
+        # Prescott runs on every x86-64 CPU.  A 40x10 @ 10x10 gemm is the
+        # control: if its bytes match too, forcing the kernel changed nothing
+        import dtmil
+
+        code = f"""
+import hashlib, sys
+import numpy as np
+sys.path.insert(0, {os.path.dirname(os.path.dirname(dtmil.__file__))!r})
+from dtmil import generate_synthetic
+from dtmil.data import SynthConfig
+_, target = generate_synthetic(SynthConfig(bags_per_class_source=1, bags_per_class_target=20), 3)
+rng = np.random.default_rng(0)
+for arr in (np.vstack([bag.instances for bag in target]), rng.normal(size=(40, 10)) @ rng.normal(size=(10, 10))):
+    print(hashlib.sha256(arr.tobytes()).hexdigest())
+"""
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        runs = [subprocess.run([sys.executable, "-c", code], env={**env, **forced}, capture_output=True,
+                               text=True, check=True, timeout=60).stdout.split()
+                for forced in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+        if runs[0][1] == runs[1][1]:
+            pytest.skip("forcing the Prescott kernel left a gemm's bytes unchanged, so it tests nothing here")
+        assert runs[0][0] == runs[1][0]
 
     def test_rotation_moves_concept_direction(self):
         cfg = SynthConfig(d=2, bags_per_class_source=50, bags_per_class_target=50,

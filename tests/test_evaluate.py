@@ -123,6 +123,19 @@ class TestAccuracy:
         ) / len(bags)
         assert accuracy(model, bags) == expected
 
+    @pytest.mark.parametrize("instance, codeword", [
+        ([1e200, 1e200], [1e200, 1e200]),  # the dot overflows to inf
+        ([1e308, 1e308], [10.0, -10.0]),  # inf - inf is NaN
+    ], ids=["inf", "nan"])
+    def test_non_finite_score_names_its_bag(self, instance, codeword):
+        model = SourceModel(phi=Dictionary(codewords=[codeword]), v=[1.0])
+        bags = [Bag(id="small", label=1, instances=[[1.0, 2.0]]),
+                Bag(id="huge", label=-1, instances=[instance]),
+                Bag(id="after", label=1, instances=[instance])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInputError, match="^score of bag 'huge' is not finite$"):
+                accuracy(model, bags)
+
     def test_empty_rejected(self):
         model = SourceModel(phi=Dictionary(codewords=[[1.0]]), v=[1.0])
         with pytest.raises(InvalidInputError):
