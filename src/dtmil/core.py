@@ -8,12 +8,12 @@ model adds a correction term computed against a second, transfer dictionary.
 
 A ``BagBatch`` stacks a list of bags once so that embedding, scoring and
 argmax assignment run over all of them in one pass; it is the only way from
-a bag list to scores.  Features and scores sum every dot product row-wise,
-so they are the same bits in any batch.  Only the argmax reads a gemm, and
-only where a rounding-error bound proves that the gemm picks the row-wise
-argmax; it recomputes every other pick row-wise.  A descent step hands it
-the previous step's picks, which it re-certifies against the same bound:
-only the cells where another instance comes near are recomputed.
+a bag list to scores.  Every dot product here and in ``learn`` is a row-wise
+sum, the same bits in any batch and on any BLAS kernel, except the argmax's
+gemm, which it reads only where a rounding-error bound proves the row-wise
+pick; it recomputes every other pick row-wise.  A descent step hands it the
+previous step's picks, which it re-certifies against the same bound: only
+the cells where another instance comes near are recomputed.
 Everything in this module is immutable after construction (a batch's
 instance norms are cached on first use, deterministically); all functions
 may be called concurrently without coordination.
@@ -109,12 +109,11 @@ def _check_real(value, name: str, positive: bool = False, minimum: float | None 
 
 
 def _instance_dots(instances: np.ndarray, codeword: np.ndarray) -> np.ndarray:
-    # Row-wise sums keep each instance's dot product bit-identical no matter
-    # how many other instances the bag holds or in what order; BLAS gemm does
-    # not guarantee that, and the embedding properties are asserted exactly.
-    # Every feature and score goes through here; the argmax's gemm only
-    # decides which instance wins (see BagBatch.argmax).
-    return (instances * codeword).sum(axis=1)
+    # Row-wise sums over the last axis keep each dot product bit-identical
+    # however many other rows share the array, in any order and on any BLAS
+    # kernel; a BLAS dot or gemm guarantees neither.  Every dot of this module
+    # and of ``learn`` goes through here, except the argmax's certified gemm.
+    return (instances * codeword).sum(axis=-1)
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -124,6 +123,13 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     top = np.abs(rows).max(axis=1)
     unit = rows / np.where(top > 0, top, 1.0)[:, None]
     return top * np.sqrt((unit * unit).sum(axis=1))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    # each nonzero finite row divided by its largest magnitude, then by its
+    # norm, which then lies in [1, sqrt(d)] and so neither over- nor underflows
+    unit = rows / np.abs(rows).max(axis=1)[:, None]
+    return unit / np.sqrt(_instance_dots(unit, unit))[:, None]
 
 
 def _certified_picks(dots, firsts, counts, margins) -> np.ndarray:
@@ -420,7 +426,7 @@ def _primal_from_cache(
     hinges = np.maximum(0.0, 1.0 - labels * (source_scores + _instance_dots(z, w)))
     return (
         float(np.mean(hinges))
-        + 0.5 * hyper.c1 * float(w @ w)
+        + 0.5 * hyper.c1 * float(_instance_dots(w, w))
         + 0.5 * hyper.c2 * float(np.sum(psi.codewords**2))
     )
 

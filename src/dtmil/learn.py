@@ -11,7 +11,8 @@ The adaptation fit alternates two blocks until the dual value settles:
      instance indices and then steps all codewords along their gradients.
      From the second step on, the picks carried from the previous step are
      re-certified, and only the cells where another instance comes near are
-     recomputed.
+     recomputed.  Every sum of the descent, u's over the bags included, is
+     row-wise, so no BLAS kernel reaches the codewords' bits.
 
 The adaptation weights are recovered in closed form from the final beta and
 the bag features under the final dictionary.  Source-model training reuses
@@ -40,7 +41,9 @@ from .core import (
     _check_labels,
     _check_real,
     _frozen,
+    _instance_dots,
     _primal_from_cache,
+    _unit_rows,
     score_source,
 )
 from .errors import DegenerateInputError, InvalidInputError
@@ -82,11 +85,6 @@ class FitReport:
         return len(self.dual_values)
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # one BLAS dot per row, the same bits as ``a_k @ b_k`` on 1-D rows
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
-
-
 def _checked_codewords(psi_k, u, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     # one codeword: psi_k and u 1-D of one length under the array rule, c1
     # and c2 under the real rule
@@ -101,13 +99,13 @@ def _checked_codewords(psi_k, u, c1, c2) -> tuple[np.ndarray, np.ndarray]:
 def codeword_objective(psi_k, u, c1: float, c2: float) -> float:
     """Per-codeword objective (c2/2)||psi||^2 - (1/(2 c1)) (u . psi)^2."""
     psi_k, u = _checked_codewords(psi_k, u, c1, c2)
-    proj = _row_dots(u, psi_k)
-    return float(0.5 * c2 * _row_dots(psi_k, psi_k) - 0.5 / c1 * proj * proj)
+    proj = _instance_dots(u, psi_k)
+    return float(0.5 * c2 * _instance_dots(psi_k, psi_k) - 0.5 / c1 * proj * proj)
 
 
 def _gradient(psi_k: np.ndarray, u: np.ndarray, c1: float, c2: float) -> np.ndarray:
     # one codeword for codeword_gradient, (K, d) rows for update_codeword
-    return c2 * psi_k - (_row_dots(u, psi_k) / c1)[..., None] * u
+    return c2 * psi_k - (_instance_dots(u, psi_k) / c1)[..., None] * u
 
 
 def codeword_gradient(psi_k, u, c1: float, c2: float) -> np.ndarray:
@@ -125,17 +123,18 @@ def update_codeword(
     """Run ``hyper.inner_iters`` descent steps on every codeword of ``psi`` over ``batch``.
 
     Each step refreshes every codeword's per-bag argmax assignments,
-    rebuilds its rank-one factor u = sum_i beta_i y_i x_i[argmax_i], and
-    steps against its gradient with step size ``hyper.eta``.  From the
-    second step on, on all but small batches, the picks carried from the
-    previous step are re-certified, only the cells where another instance
-    comes near are recomputed, and u is rebuilt only for codewords whose
-    picks changed: the same bits as recomputing everything.  Each codeword
-    norm is clipped to ``CODEWORD_NORM_CAP`` after every step: the objective
-    is unbounded below along u whenever ||u||^2 > c1 * c2, and the cap keeps
-    iterates finite there, also when the squared norm of a step overflows.
-    A zero codeword comes back unchanged.  A step that leaves a codeword
-    non-finite raises ``InvalidInputError`` naming the step and codeword.
+    rebuilds its rank-one factor u = sum_i beta_i y_i x_i[argmax_i] (each
+    instance weighted once per call, then summed bag by bag), and steps
+    against its gradient with step size ``hyper.eta``.  From the second step
+    on, on all but small batches, the picks carried from the previous step
+    are re-certified, only the cells where another instance comes near are
+    recomputed, and u is rebuilt only for codewords whose picks changed: the
+    same bits as recomputing everything.  The objective is unbounded below
+    along u whenever ||u||^2 > c1 * c2, so after every step each codeword
+    norm above ``CODEWORD_NORM_CAP``, an overflowing one included, is scaled
+    to it by ``init_dictionary``'s rule.  A zero codeword comes back
+    unchanged; a step that leaves a codeword non-finite raises
+    ``InvalidInputError`` naming the step and codeword.
     """
     if psi.dim != batch.dim:
         raise InvalidInputError(
@@ -148,37 +147,33 @@ def update_codeword(
         raise InvalidInputError(
             f"beta {beta.shape} and labels {labels.shape} must both have length {n}"
         )
-    signed = beta * labels
+    # each instance times its bag's beta_i y_i, once, one coordinate per row,
+    # in C order at once (a transposed copy cost page faults at every step)
+    weighted = np.multiply(batch.instances.T, np.repeat(beta * labels, batch.counts), order="C")
     words = psi.codewords
     warm = psi.size * n >= _WARM_ARGMAX_CELLS
     picks, u = None, np.empty_like(words)
     for step in range(hyper.inner_iters):
         previous = picks if warm else None
         picks = batch._argmax(words, previous)
-        # one gemv per codeword, the same call as ``signed @ block`` makes;
-        # beta and the instances are fixed, so a codeword whose picks did not
-        # change keeps the same bits of u
+        # np.take gathers in C order, so each entry of u is one row-wise sum
+        # over the bags; a codeword whose picks did not change keeps its u
         fresh = slice(None) if previous is None else (picks != previous).any(axis=1)
-        u[fresh] = np.matmul(signed, batch.instances[batch.starts + picks[fresh]])
-        # overflow is checked below, per codeword, from the norms
+        u[fresh] = np.take(weighted, batch.starts + picks[fresh], axis=1).sum(axis=-1).T
+        # overflow is checked below, per codeword
         with np.errstate(over="ignore", invalid="ignore"):
             words = words - hyper.eta * _gradient(words, u, hyper.c1, hyper.c2)
-            norms = np.sqrt(_row_dots(words, words))
+            norms = np.sqrt(_instance_dots(words, words))
+        finite_rows = np.isfinite(words).all(axis=1)
+        if not finite_rows.all():
+            raise InvalidInputError(
+                f"descent step {step + 1}: codeword {int(np.argmin(finite_rows))} is not finite "
+                f"(step size eta={hyper.eta!r})"
+            )
+        # a squared norm that overflows reads inf, and is capped the same way
         capped = norms > CODEWORD_NORM_CAP
-        huge = ~np.isfinite(norms)
-        if huge.any():
-            finite_rows = np.isfinite(words).all(axis=1)
-            if not finite_rows.all():
-                raise InvalidInputError(
-                    f"descent step {step + 1}: codeword {int(np.argmin(finite_rows))} is not finite "
-                    f"(step size eta={hyper.eta!r})"
-                )
-            # a finite row whose squared norm overflows is divided by its
-            # largest magnitude before the cap, since 10 / inf would zero it
-            big = words[huge] / np.abs(words[huge]).max(axis=1)[:, None]
-            words[huge] = big * (CODEWORD_NORM_CAP / np.sqrt(_row_dots(big, big)))[:, None]
-            capped &= ~huge
-        words[capped] *= (CODEWORD_NORM_CAP / norms[capped])[:, None]
+        if capped.any():
+            words[capped] = CODEWORD_NORM_CAP * _unit_rows(words[capped])
     return Dictionary(codewords=words)
 
 
@@ -194,14 +189,12 @@ def init_dictionary(batch: BagBatch, size: int, seed: int) -> Dictionary:
     """
     _check_int(size, "dictionary size", 1)
     _check_int(seed, "seed", 0)
-    tops = np.abs(batch.instances).max(axis=1)
-    pool = np.flatnonzero(tops > 0.0)
+    pool = np.flatnonzero(np.abs(batch.instances).max(axis=1) > 0.0)
     if pool.shape[0] == 0:
         raise DegenerateInputError("every pooled instance is the zero vector")
     rng = np.random.default_rng(seed)
     idx = pool[rng.choice(pool.shape[0], size=size, replace=pool.shape[0] < size)]
-    rows = batch.instances[idx] / tops[idx, None]
-    return Dictionary(codewords=rows / np.linalg.norm(rows, axis=1)[:, None])
+    return Dictionary(codewords=_unit_rows(batch.instances[idx]))
 
 
 def _capped_text(state: DualState, where: str) -> str:

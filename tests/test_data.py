@@ -4,10 +4,8 @@ import json
 import os
 import re
 import stat
-import subprocess
-import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -664,15 +662,40 @@ class TestGenerateSynthetic:
         s2, _ = generate_synthetic(cfg, seed=2)
         assert not np.array_equal(s1[0].instances, s2[0].instances)
 
+    @staticmethod
+    def replayed_target(cfg, seed):
+        # the target's instances as drawn from default_rng(seed) before any
+        # shift, in the generator's order: every source bag, then every target
+        # bag, positives first; a bag draws its size, then its concept rows
+        # (positive bags only), then its background rows
+        rng = np.random.default_rng(seed)
+        lo, hi = cfg.instances_per_bag
+        mean = np.zeros(cfg.d)
+        mean[0] = cfg.cluster_separation
+        bags = []
+        for count in (cfg.bags_per_class_source, cfg.bags_per_class_target):
+            for label in (1, -1):
+                for _ in range(count):
+                    m = int(rng.integers(lo, hi + 1))
+                    witnesses = int(np.ceil(cfg.witness_rate * m)) if label == 1 else 0
+                    rows = [rng.normal(size=(witnesses, cfg.d)) + mean] if witnesses else []
+                    rows.append(rng.normal(size=(m - witnesses, cfg.d)))
+                    bags.append(np.vstack(rows))
+        return bags[2 * cfg.bags_per_class_source:]
+
     def test_null_shift_leaves_target_untransformed(self):
         cfg = SynthConfig(d=4, bags_per_class_source=2, bags_per_class_target=4,
                           shift_rotation_degrees=0.0, shift_translation=0.0, noise_sigma=0.0)
         _, target = generate_synthetic(cfg, seed=5)
-        # identity transform: regenerating with the same seed and comparing
-        # against the rotation-free pipeline must give identical instances
-        _, again = generate_synthetic(cfg, seed=5)
-        for a, b in zip(target, again):
-            assert np.array_equal(a.instances, b.instances)
+        replayed = self.replayed_target(cfg, 5)
+        assert len(target) == len(replayed)
+        for bag, rows in zip(target, replayed):
+            assert np.array_equal(bag.instances, rows)
+        # a pure translation t moves every instance by exactly t
+        t = (1.5, -2.0, 0.25, 3.0)
+        _, moved = generate_synthetic(replace(cfg, shift_translation=t), seed=5)
+        for bag, rows in zip(moved, replayed):
+            assert np.array_equal(bag.instances, rows + np.array(t))
 
     def test_full_witness_rate_fills_positive_bags(self):
         # separation far beyond noise: every instance of a positive bag must
@@ -711,30 +734,16 @@ class TestGenerateSynthetic:
             assert np.array_equal(b.instances[:, 1], sin * x0 + cos * x1)
             assert np.array_equal(b.instances[:, 2:], a.instances[:, 2:])
 
-    def test_target_bytes_do_not_depend_on_the_blas_kernel(self):
-        # OPENBLAS_CORETYPE forces a kernel of numpy's DYNAMIC_ARCH OpenBLAS;
-        # Prescott runs on every x86-64 CPU.  A 40x10 @ 10x10 gemm is the
-        # control: if its bytes match too, forcing the kernel changed nothing
-        import dtmil
-
-        code = f"""
-import hashlib, sys
+    def test_target_bytes_do_not_depend_on_the_blas_kernel(self, under_two_blas_kernels):
+        default, prescott = under_two_blas_kernels("""
+import hashlib
 import numpy as np
-sys.path.insert(0, {os.path.dirname(os.path.dirname(dtmil.__file__))!r})
 from dtmil import generate_synthetic
 from dtmil.data import SynthConfig
 _, target = generate_synthetic(SynthConfig(bags_per_class_source=1, bags_per_class_target=20), 3)
-rng = np.random.default_rng(0)
-for arr in (np.vstack([bag.instances for bag in target]), rng.normal(size=(40, 10)) @ rng.normal(size=(10, 10))):
-    print(hashlib.sha256(arr.tobytes()).hexdigest())
-"""
-        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
-        runs = [subprocess.run([sys.executable, "-c", code], env={**env, **forced}, capture_output=True,
-                               text=True, check=True, timeout=60).stdout.split()
-                for forced in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
-        if runs[0][1] == runs[1][1]:
-            pytest.skip("forcing the Prescott kernel left a gemm's bytes unchanged, so it tests nothing here")
-        assert runs[0][0] == runs[1][0]
+print(hashlib.sha256(np.vstack([bag.instances for bag in target]).tobytes()).hexdigest())
+""")
+        assert default == prescott
 
     def test_rotation_moves_concept_direction(self):
         cfg = SynthConfig(d=2, bags_per_class_source=50, bags_per_class_target=50,

@@ -239,19 +239,20 @@ def _reference_argmax(batch, codeword, seen):
 
 
 def _reference_update_codeword(psi_init, batch, beta, labels, hyper, seen):
-    # the single-codeword descent that update_codeword once was, verbatim
-    # apart from its input checks, the argmax above, the 1-D gradient
-    # inlined and a tally of the steps that hit the norm cap
+    # the single-codeword descent that update_codeword once was, apart from
+    # its input checks, the argmax above, the 1-D gradient inlined, a tally
+    # of the steps that hit the norm cap, and every dot, sum and norm taken
+    # as a 1-D numpy sum (no BLAS)
     psi = np.array(psi_init, dtype=np.float64)
     signed = np.asarray(beta, dtype=np.float64) * np.asarray(labels, dtype=np.float64)
     for _ in range(hyper.inner_iters):
         assignment = _reference_argmax(batch, psi, seen)
-        u = signed @ batch.instances[batch.starts + assignment]
-        psi = psi - hyper.eta * (hyper.c2 * psi - (float(u @ psi) / hyper.c1) * u)
-        norm = float(np.linalg.norm(psi))
-        if norm > CODEWORD_NORM_CAP:
+        u = np.array([(signed * column).sum() for column in batch.instances[batch.starts + assignment].T])
+        psi = psi - hyper.eta * (hyper.c2 * psi - (float((u * psi).sum()) / hyper.c1) * u)
+        if np.sqrt((psi * psi).sum()) > CODEWORD_NORM_CAP:
             seen["cap"] += 1
-            psi *= CODEWORD_NORM_CAP / norm
+            unit = psi / np.abs(psi).max()
+            psi = CODEWORD_NORM_CAP * (unit / np.sqrt((unit * unit).sum()))
     return psi
 
 
@@ -328,6 +329,32 @@ class TestUpdateCodeword:
                 update_codeword(words, batch, [1.0], [1], hyper)
             only_first = update_codeword(Dictionary(codewords=words.codewords[:1]), batch, [1.0], [1], hyper)
         assert only_first.codewords.tolist() == [[0.0, -CODEWORD_NORM_CAP]]
+
+    def test_descent_bytes_do_not_depend_on_the_blas_kernel(self, under_two_blas_kernels):
+        # 20 codewords over 100 bags take the warm argmax from the second
+        # step, and c1 = 0.05 puts ||u||^2 above c1 * c2, so that steps hit
+        # the norm cap; init_dictionary's and the descent's bytes must match
+        _, target = generate_synthetic(SynthConfig(), 3)
+        batch = BagBatch(target)
+        assert 20 * len(batch) >= _WARM_ARGMAX_CELLS
+        beta = np.full(len(target), 1.0 / len(target))
+        out = update_codeword(init_dictionary(batch, 20, 3), batch, beta, [b.label for b in target],
+                              Hyperparams(c1=0.05, inner_iters=50))
+        assert np.isclose(np.linalg.norm(out.codewords, axis=1), CODEWORD_NORM_CAP, rtol=1e-12).any()
+        default, prescott = under_two_blas_kernels("""
+import hashlib
+import numpy as np
+from dtmil import BagBatch, Hyperparams, generate_synthetic, init_dictionary, update_codeword
+from dtmil.data import SynthConfig
+_, target = generate_synthetic(SynthConfig(), 3)
+batch = BagBatch(target)
+beta = np.full(len(target), 1.0 / len(target))
+psi = init_dictionary(batch, 20, 3)
+out = update_codeword(psi, batch, beta, [b.label for b in target], Hyperparams(c1=0.05, inner_iters=50))
+for words in (psi.codewords, out.codewords):
+    print(hashlib.sha256(words.tobytes()).hexdigest())
+""")
+        assert default == prescott
 
     def test_matches_per_codeword_reference_bit_for_bit(self):
         # one whole-dictionary call must reproduce, signbits included, the
