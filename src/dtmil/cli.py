@@ -15,7 +15,7 @@ import sys
 import warnings
 from dataclasses import asdict, fields
 
-from .core import AdaptedModel, Hyperparams, _check_int, _check_real, _frozen, embed_bag
+from .core import AdaptedModel, Hyperparams, _check_int, _check_match, _check_real, _frozen, embed_bag
 from .data import (
     SynthConfig,
     generate_synthetic,
@@ -86,6 +86,11 @@ def _print_fit_report(label: str, report: FitReport, rounds: bool = True) -> Non
     )
 
 
+def _check_dim(bags, path: str, dim: int, against: str) -> None:
+    # a dataset unlike the model or source file it meets fails naming both, before any work
+    _check_match(bags[0].dim, dim, f"{path} dimension", f"{against} dimension")
+
+
 def _cmd_synth(args) -> int:
     _check_int(args.seed, "seed", 0)  # before the config file is read
     config = SynthConfig() if args.config is None else load_synth_config(args.config)
@@ -113,6 +118,7 @@ def _cmd_adapt(args) -> int:
     hyper = _hyper_from_args(args)  # validate flags before touching any file
     source_model = load_source_model(args.source_model)
     train = load_dataset(args.target_train)
+    _check_dim(train, args.target_train, source_model.phi.dim, args.source_model)
     model, report = fit_dtc(train, source_model, hyper)
     _print_fit_report("adapt", report, rounds=args.verbose)
     save_model(model, args.out)
@@ -123,6 +129,7 @@ def _cmd_adapt(args) -> int:
 def _cmd_eval(args) -> int:
     model = load_model(args.model)
     bags = load_dataset(args.data)
+    _check_dim(bags, args.data, (model.source if isinstance(model, AdaptedModel) else model).phi.dim, args.model)
     acc = accuracy(model, bags)
     write_text_atomic(args.out, [json.dumps({"accuracy": acc, "n": len(bags)}, sort_keys=True) + "\n"])
     _log(f"accuracy {acc:.4f} on {len(bags)} bags -> {args.out}")
@@ -134,6 +141,7 @@ def _cmd_protocol(args) -> int:
     _check_int(args.folds, "--folds", 2)
     source = load_dataset(args.source)
     target = load_dataset(args.target)
+    _check_dim(target, args.target, source[0].dim, args.source)
     report = run_protocol(
         source, target, hyper, args.folds, conventional=args.conventional,
         on_fit=lambda fold, rep: _print_fit_report(f"fold {fold}", rep, rounds=args.verbose),
@@ -175,6 +183,7 @@ def _cmd_sweep(args) -> int:
     _check_int(args.folds, "--folds", 2)
     source = load_dataset(args.source)
     target = load_dataset(args.target)
+    _check_dim(target, args.target, source[0].dim, args.source)
     rows = sweep(source, target, hyper, c1_grid, c2_grid, args.folds)
     for row in rows:
         for warning in row["warnings"]:
@@ -193,6 +202,7 @@ def _cmd_embed(args) -> int:
     else:  # before the dataset is read, as for any flag
         raise InvalidInputError("model file holds no transfer dictionary; --dict psi needs an adapted model")
     bags = load_dataset(args.data)
+    _check_dim(bags, args.data, dictionary.dim, args.model)
 
     def line(bag) -> str:
         # the one array rule keeps inf and NaN, which JSON lacks, out of the file

@@ -108,6 +108,13 @@ def _check_real(value, name: str, positive: bool = False, minimum: float | None 
     return value
 
 
+def _check_match(value: int, expected: int, what: str, against: str) -> None:
+    # the one rule for two sizes that must agree (a length, dimension or
+    # count against another's): the error names both sides and both values
+    if value != expected:
+        raise InvalidInputError(f"{what} {value} does not match {against} {expected}")
+
+
 def _instance_dots(instances: np.ndarray, codeword: np.ndarray) -> np.ndarray:
     # Row-wise sums over the last axis keep each dot product bit-identical
     # however many other rows share the array, in any order and on any BLAS
@@ -231,10 +238,7 @@ class SourceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "v", _frozen(self.v, "source classifier v", 1))
-        if self.v.shape[0] != self.phi.size:
-            raise InvalidInputError(
-                f"classifier length {self.v.shape[0]} != dictionary size {self.phi.size}"
-            )
+        _check_match(self.v.shape[0], self.phi.size, "classifier length", "dictionary size")
 
 
 @dataclass(frozen=True)
@@ -249,14 +253,8 @@ class AdaptedModel:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _frozen(self.w, "adaptation weights w", 1))
-        if self.w.shape[0] != self.psi.size:
-            raise InvalidInputError(
-                f"adaptation weight length {self.w.shape[0]} != dictionary size {self.psi.size}"
-            )
-        if self.psi.dim != self.source.phi.dim:
-            raise InvalidInputError(
-                f"transfer dictionary dimension {self.psi.dim} != source dimension {self.source.phi.dim}"
-            )
+        _check_match(self.w.shape[0], self.psi.size, "adaptation weight length", "dictionary size")
+        _check_match(self.psi.dim, self.source.phi.dim, "transfer dictionary dimension", "source dimension")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -274,10 +272,8 @@ class BagBatch:
     def __init__(self, bags: list[Bag]):
         if not bags:
             raise InvalidInputError("cannot stack an empty bag list")
-        dim = bags[0].dim
         for bag in bags:
-            if bag.dim != dim:
-                raise InvalidInputError(f"bag {bag.id!r} has dimension {bag.dim}, expected {dim}")
+            _check_match(bag.dim, bags[0].dim, f"bag {bag.id!r} dimension", "first bag dimension")
         counts = np.array([bag.size for bag in bags], dtype=np.intp)
         starts = np.zeros(len(bags), dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
@@ -296,10 +292,7 @@ class BagBatch:
     def embed(self, dictionary: Dictionary) -> np.ndarray:
         """Features of every bag, one row per bag; a bag's row does not
         depend on which other bags share the batch."""
-        if self.dim != dictionary.dim:
-            raise InvalidInputError(
-                f"bags have dimension {self.dim} but dictionary has dimension {dictionary.dim}"
-            )
+        _check_match(self.dim, dictionary.dim, "bag dimension", "dictionary dimension")
         # one codeword's M dots at a time, reduced to bag maxima at once: no
         # (K, M) array exists; C order, so scoring sums each bag's row one way
         features = np.empty((len(self), dictionary.size))
@@ -327,10 +320,7 @@ class BagBatch:
         row-wise.  A NaN dot product raises ``InvalidInputError``.
         """
         codewords = _frozen(codewords, "codewords", 2)
-        if codewords.shape[1] != self.dim:
-            raise InvalidInputError(
-                f"codewords must have shape (K, {self.dim}), got {codewords.shape}"
-            )
+        _check_match(codewords.shape[1], self.dim, "codeword dimension", "bag dimension")
         return self._argmax(codewords)
 
     def _argmax(self, codewords: np.ndarray, previous: np.ndarray | None = None) -> np.ndarray:

@@ -33,6 +33,7 @@ from .core import (
     SourceModel,
     _check_int,
     _check_labeled,
+    _check_match,
     _check_real,
 )
 from .errors import DatasetFormatError, InvalidInputError, ModelFormatError
@@ -121,11 +122,8 @@ def load_dataset(path: str) -> list[Bag]:
                     raise InvalidInputError(f"bag {bag.id!r} is unlabeled")
                 if bag.id in seen_ids:
                     raise InvalidInputError(f"duplicate bag id {bag.id!r}")
-                if bags and bag.dim != bags[0].dim:
-                    raise InvalidInputError(
-                        f"bag {bag.id!r} has dimension {bag.dim}, "
-                        f"but the file started with dimension {bags[0].dim}"
-                    )
+                if bags:
+                    _check_match(bag.dim, bags[0].dim, f"bag {bag.id!r} dimension", "first bag dimension")
             seen_ids.add(bag.id)
             bags.append(bag)
     if not bags:
@@ -138,8 +136,8 @@ def save_dataset(bags: list[Bag], path: str) -> None:
     _check_labeled(bags, "dataset file")
     if len({bag.id for bag in bags}) != len(bags):
         raise InvalidInputError("bag ids must be unique within a dataset file")
-    if len({bag.dim for bag in bags}) != 1:
-        raise InvalidInputError("bags in a dataset file must share one dimension")
+    for bag in bags:
+        _check_match(bag.dim, bags[0].dim, f"bag {bag.id!r} dimension", "first bag dimension")
     write_text_atomic(path, (
         json.dumps({"id": bag.id, "label": bag.label, "instances": bag.instances.tolist()}) + "\n"
         for bag in bags
@@ -252,8 +250,7 @@ class SynthConfig:
         _check_real(self.noise_sigma, "noise_sigma", minimum=0)
         raw = self.shift_translation
         if isinstance(raw, (tuple, list)):
-            if len(raw) != self.d:
-                raise InvalidInputError(f"shift_translation must have length d={self.d}, got {len(raw)}")
+            _check_match(len(raw), self.d, "shift_translation length", "d")
             translation = tuple(float(_check_real(v, "shift_translation entry")) for v in raw)
         else:
             translation = float(_check_real(raw, "shift_translation"))

@@ -31,6 +31,7 @@ from .core import (
     SourceModel,
     _check_int,
     _check_labeled,
+    _check_match,
     predict,
     score_source,
     score_target,
@@ -191,8 +192,10 @@ def _fold_results(run_fold, jobs: int):
         yield results()
 
 
-def _source_model(source: list[Bag], hyper: Hyperparams) -> SourceModel:
-    return train_source(source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE))
+def _source_model(source: list[Bag], target: list[Bag], hyper: Hyperparams, model=None) -> SourceModel:
+    if model is not None or source:  # before any training; an empty source fails in train_source
+        _check_match(target[0].dim, (model.phi if model else source[0]).dim, "target dimension", "source dimension")
+    return model or train_source(source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE))
 
 
 def _fit_fold(train: list[Bag], source_model: SourceModel, hyper: Hyperparams, fold: int):
@@ -225,7 +228,8 @@ def run_protocol(
     target-only baseline; the report's warnings include any warning the
     baseline's training issued, prefixed "target-only baseline".  The
     returned report gathers those warnings too, so no caller needs ``on_fit``
-    to see them.  An ``InvalidInputError`` from a fold's fit names the fold.
+    to see them.  An ``InvalidInputError`` from a fold's fit names the fold;
+    a target whose dimension is not the source's raises before any fold runs.
 
     The folds may run in ``min(k, CPUs)`` forked workers (``_fold_workers``);
     ``on_fit`` still runs in the caller, in fold order, as each fold ends,
@@ -234,8 +238,7 @@ def run_protocol(
     a worker that dies mid-fold raises ``RuntimeError``.
     """
     split = split_folds(target, k, hyper.seed)
-    if source_model is None:
-        source_model = _source_model(source, hyper)
+    source_model = _source_model(source, target, hyper, source_model)
 
     def run_fold(fold: int) -> tuple[float, float, float, FitReport]:
         inside, outside = split.partition(target, fold)
@@ -289,7 +292,7 @@ def sweep(
         raise InvalidInputError("c1 and c2 grids must be nonempty")
     hypers = [replace(base_hyper, c1=c1, c2=c2) for c1 in c1_grid for c2 in c2_grid]
     split = split_folds(target, k, base_hyper.seed)
-    source_model = _source_model(source, base_hyper)
+    source_model = _source_model(source, target, base_hyper)
 
     def run_job(job: int) -> dict:
         # fold f of cell c is job c*k + f

@@ -39,6 +39,7 @@ from .core import (
     _check_int,
     _check_labeled,
     _check_labels,
+    _check_match,
     _check_real,
     _frozen,
     _instance_dots,
@@ -91,8 +92,7 @@ def _checked_codewords(psi_k, u, c1, c2) -> tuple[np.ndarray, np.ndarray]:
     _check_real(c1, "c1", positive=True)
     _check_real(c2, "c2", positive=True)
     psi_k, u = _frozen(psi_k, "psi_k", 1), _frozen(u, "u", 1)
-    if psi_k.shape != u.shape:
-        raise InvalidInputError(f"psi_k {psi_k.shape} and u {u.shape} must have the same shape")
+    _check_match(psi_k.shape[0], u.shape[0], "psi_k length", "u length")
     return psi_k, u
 
 
@@ -136,22 +136,16 @@ def update_codeword(
     unchanged; a step that leaves a codeword non-finite raises
     ``InvalidInputError`` naming the step and codeword.
     """
-    if psi.dim != batch.dim:
-        raise InvalidInputError(
-            f"dictionary has dimension {psi.dim} but bags have dimension {batch.dim}"
-        )
-    n = len(batch)
+    _check_match(psi.dim, batch.dim, "dictionary dimension", "bag dimension")
     beta = _frozen(beta, "beta", 1)
     labels = _check_labels(labels)
-    if beta.shape != (n,) or labels.shape != (n,):
-        raise InvalidInputError(
-            f"beta {beta.shape} and labels {labels.shape} must both have length {n}"
-        )
+    _check_match(beta.shape[0], len(batch), "beta length", "bag count")
+    _check_match(labels.shape[0], len(batch), "labels length", "bag count")
     # each instance times its bag's beta_i y_i, once, one coordinate per row,
     # in C order at once (a transposed copy cost page faults at every step)
     weighted = np.multiply(batch.instances.T, np.repeat(beta * labels, batch.counts), order="C")
     words = psi.codewords
-    warm = psi.size * n >= _WARM_ARGMAX_CELLS
+    warm = psi.size * len(batch) >= _WARM_ARGMAX_CELLS
     picks, u = None, np.empty_like(words)
     for step in range(hyper.inner_iters):
         previous = picks if warm else None

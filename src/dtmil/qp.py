@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _EPS, _TINY, _check_int, _check_labels, _check_real, _frozen, _row_norms
+from .core import _EPS, _TINY, _check_int, _check_labels, _check_match, _check_real, _frozen, _row_norms
 from .errors import InvalidInputError
 
 BOX_FEASIBILITY_TOL = 1e-9
@@ -71,11 +71,8 @@ class DualProblem:
         features = _frozen(self.features, "features", 2)
         margins = _frozen(self.margins, "margins", 1)
         labels = _check_labels(self.labels)
-        n = features.shape[0]
-        if margins.shape != (n,) or labels.shape != (n,):
-            raise InvalidInputError(
-                f"margins {margins.shape} and labels {labels.shape} must both have length {n}"
-            )
+        _check_match(margins.shape[0], features.shape[0], "margins length", "feature rows")
+        _check_match(labels.shape[0], features.shape[0], "labels length", "feature rows")
         # numpy computes a @ a.T as a symmetric rank-k update: exactly symmetric
         with np.errstate(over="ignore"):
             gram = features @ features.T
@@ -110,8 +107,7 @@ class DualState:
 
 def _checked_beta(beta, prob: DualProblem) -> np.ndarray:
     arr = _frozen(beta, "beta", 1)
-    if arr.shape != (prob.n,):
-        raise InvalidInputError(f"beta must have length {prob.n}, got shape {arr.shape}")
+    _check_match(arr.shape[0], prob.n, "beta length", "problem size")
     ub = prob.box_upper
     if arr.min() < -BOX_FEASIBILITY_TOL or arr.max() > ub + BOX_FEASIBILITY_TOL:
         raise InvalidInputError(

@@ -217,6 +217,32 @@ class TestValidationErrors:
         assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
 
 
+class TestMismatchedInputFiles:
+    """A dataset whose dimension differs from the model or source file it
+    meets fails at once: exit 1, one line naming both files and both
+    dimensions, no training, no output and no temporary file."""
+
+    @pytest.mark.parametrize("command", ["eval", "embed", "adapt", "protocol", "sweep"])
+    def test_names_both_files_before_any_work(self, tmp_path, capsys, command):
+        model, source, data = (str(tmp_path / name) for name in ("m.json", "s.jsonl", "d.jsonl"))
+        save_model(SourceModel(phi=Dictionary(codewords=[[1.0, 0.0, 0.0]]), v=[1.0]), model)
+        save_dataset([Bag(id=f"s{i}", label=1 - 2 * (i % 2), instances=[[1.0, 2.0, 3.0]]) for i in range(4)], source)
+        save_dataset([Bag(id=f"t{i}", label=1 - 2 * (i % 2), instances=[[1.0, 2.0]]) for i in range(4)], data)
+        out = str(tmp_path / "out")
+        args = {
+            "eval": ["--model", model, "--data", data],
+            "embed": ["--model", model, "--data", data, "--dict", "phi"],
+            "adapt": ["--source-model", model, "--target-train", data, "--verbose"],
+            "protocol": ["--source", source, "--target", data, "--folds", "2", "--verbose"],
+            "sweep": ["--source", source, "--target", data, "--folds", "2", "--c1", "1", "--c2", "1"],
+        }[command]
+        against = source if command in ("protocol", "sweep") else model
+        before = sorted(tmp_path.iterdir())
+        assert run([command, *args, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {data} dimension 2 does not match {against} dimension 3\n"
+        assert sorted(tmp_path.iterdir()) == before  # no output and no temporary file
+
+
 class TestNonUtf8Inputs:
     """A file that is not UTF-8 is a validation error naming the file."""
 

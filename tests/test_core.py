@@ -24,13 +24,17 @@ from dtmil import (
     generate_synthetic,
     init_dictionary,
     kkt_residual,
+    load_dataset,
     predict,
     primal_objective,
     recover_w,
+    run_protocol,
+    save_dataset,
     score_source,
     score_target,
     solve_box_qp,
     split_folds,
+    sweep,
     train_source,
     update_codeword,
 )
@@ -78,8 +82,8 @@ class TestTypes:
             SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[1.0, 2.0])
 
     @pytest.mark.parametrize("psi, w, message", [
-        ([[1.0, 0.0, 0.0]], [1.0], "^transfer dictionary dimension 3 != source dimension 2$"),
-        ([[1.0, 0.0]], [1.0, 2.0], "^adaptation weight length 2 != dictionary size 1$"),
+        ([[1.0, 0.0, 0.0]], [1.0], "^transfer dictionary dimension 3 does not match source dimension 2$"),
+        ([[1.0, 0.0]], [1.0, 2.0], "^adaptation weight length 2 does not match dictionary size 1$"),
     ], ids=["psi-dimension", "w-length"])
     def test_adapted_model_shape_mismatch(self, psi, w, message):
         source = SourceModel(phi=Dictionary(codewords=[[1.0, 0.0]]), v=[1.0])
@@ -266,6 +270,85 @@ class TestArrayRule:
             batch.argmax([[value, 0.0]])
 
 
+def _match_sites():
+    # (where, call taking a scratch directory tmp, the one error it must
+    # raise, formatted with tmp): each call gives one size that does not match
+    # another, every other argument valid, so only core's size rule rejects it
+    line = bag([1.0, 2.0])
+    batch = BagBatch([line, bag([3.0, 4.0])])
+    phi = Dictionary(codewords=[[1.0, 0.0]])
+    source = SourceModel(phi=phi, v=[1.0])
+    two = [Bag(id=f"{i}", label=1 - 2 * (i % 2), instances=[[1.0, 2.0]]) for i in range(2)]
+    three = [Bag(id=f"{i}", label=1 - 2 * (i % 2), instances=[[1.0, 2.0, 3.0]]) for i in range(2)]
+    prob = DualProblem(features=[[1.0]], margins=[1.0], labels=[1], c1=1.0)
+    hyper = Hyperparams(kappa=1, inner_iters=1)
+
+    def load(tmp):
+        path = tmp / "mixed.jsonl"
+        path.write_text('{"id": "a", "label": 1, "instances": [[1.0, 2.0]]}\n'
+                        '{"id": "b", "label": 1, "instances": [[1.0, 2.0, 3.0]]}\n')
+        load_dataset(str(path))
+
+    return [
+        ("SourceModel v", lambda tmp: SourceModel(phi=phi, v=[1.0, 2.0]),
+         "classifier length 2 does not match dictionary size 1"),
+        ("AdaptedModel w", lambda tmp: AdaptedModel(source=source, psi=phi, w=[1.0, 2.0], hyper=hyper),
+         "adaptation weight length 2 does not match dictionary size 1"),
+        ("AdaptedModel psi", lambda tmp: AdaptedModel(
+            source=source, psi=Dictionary(codewords=[[1.0, 0.0, 0.0]]), w=[1.0], hyper=hyper),
+         "transfer dictionary dimension 3 does not match source dimension 2"),
+        ("BagBatch bags", lambda tmp: BagBatch([line, bag([1.0, 2.0, 3.0], bag_id="c")]),
+         "bag 'c' dimension 3 does not match first bag dimension 2"),
+        ("BagBatch.embed", lambda tmp: batch.embed(Dictionary(codewords=[[1.0, 0.0, 0.0]])),
+         "bag dimension 2 does not match dictionary dimension 3"),
+        ("BagBatch.argmax", lambda tmp: batch.argmax([[1.0, 0.0, 0.0]]),
+         "codeword dimension 3 does not match bag dimension 2"),
+        ("codeword_objective", lambda tmp: codeword_objective([1.0, 2.0], [1.0, 2.0, 3.0], 1.0, 1.0),
+         "psi_k length 2 does not match u length 3"),
+        ("codeword_gradient", lambda tmp: codeword_gradient([1.0, 2.0, 3.0], [1.0], 1.0, 1.0),
+         "psi_k length 3 does not match u length 1"),
+        ("update_codeword psi", lambda tmp: update_codeword(
+            Dictionary(codewords=[[1.0, 0.0, 0.0]]), batch, [0.1, 0.1], [1, -1], hyper),
+         "dictionary dimension 3 does not match bag dimension 2"),
+        ("update_codeword beta", lambda tmp: update_codeword(phi, batch, [0.1], [1, -1], hyper),
+         "beta length 1 does not match bag count 2"),
+        ("update_codeword labels", lambda tmp: update_codeword(phi, batch, [0.1, 0.1], [1, -1, 1], hyper),
+         "labels length 3 does not match bag count 2"),
+        ("DualProblem margins", lambda tmp: DualProblem(features=[[1.0]], margins=[1.0, 1.0], labels=[1], c1=1.0),
+         "margins length 2 does not match feature rows 1"),
+        ("DualProblem labels", lambda tmp: DualProblem(features=[[1.0]], margins=[1.0], labels=[1, -1], c1=1.0),
+         "labels length 2 does not match feature rows 1"),
+        ("dual_value beta", lambda tmp: dual_value([0.5, 0.5], prob),
+         "beta length 2 does not match problem size 1"),
+        ("load_dataset", load, "{tmp}/mixed.jsonl:2: bag 'b' dimension 3 does not match first bag dimension 2"),
+        ("save_dataset", lambda tmp: save_dataset([two[0], three[1]], str(tmp / "out.jsonl")),
+         "bag '1' dimension 3 does not match first bag dimension 2"),
+        ("SynthConfig shift_translation", lambda tmp: SynthConfig(d=2, shift_translation=(1.0, 2.0, 3.0)),
+         "shift_translation length 3 does not match d 2"),
+        ("run_protocol", lambda tmp: run_protocol(two, three, hyper, k=2),
+         "target dimension 3 does not match source dimension 2"),
+        ("run_protocol source_model", lambda tmp: run_protocol([], three, hyper, k=2, source_model=source),
+         "target dimension 3 does not match source dimension 2"),
+        ("sweep", lambda tmp: sweep(three, two, hyper, [1.0], [1.0], k=2),
+         "target dimension 2 does not match source dimension 3"),
+    ]
+
+
+class TestMatchRule:
+    """Every pair of sizes that must agree goes through core's one size
+    rule, so a mismatch raises InvalidInputError in one form, naming both
+    sides and both values; a file adds its path and line."""
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(call, message, id=where) for where, call, message in _match_sites()
+    ])
+    def test_one_form_names_both_sides(self, tmp_path, call, message):
+        with pytest.raises(InvalidInputError) as caught:
+            call(tmp_path)
+        assert str(caught.value) == message.format(tmp=tmp_path)
+        assert {path.name for path in tmp_path.iterdir()} <= {"mixed.jsonl"}  # nothing written
+
+
 class TestEmbedBag:
     def test_single_instance_basis_codewords(self):
         assert embed_bag(bag([1.0, 2.0]), Dictionary(codewords=[[1, 0], [0, 1]])).tolist() == [1.0, 2.0]
@@ -348,7 +431,7 @@ class TestBagBatch:
     def test_rejects_empty_and_mixed_dimensions(self):
         with pytest.raises(InvalidInputError):
             BagBatch([])
-        with pytest.raises(InvalidInputError, match="dimension 3, expected 2"):
+        with pytest.raises(InvalidInputError, match="^bag 'b' dimension 3 does not match first bag dimension 2$"):
             BagBatch([bag([1.0, 2.0]), bag([1.0, 2.0, 3.0])])
 
     def test_embed_holds_one_codewords_dots(self, traced_peak):

@@ -350,7 +350,7 @@ class TestSavedDatasetLoads:
         assert (tmp_path / "b.jsonl").read_text() == '{"id": "b", "label": -1, "instances": [[1.0]]}\n'
 
     @pytest.mark.parametrize("second, message", [
-        (Bag(id="b", label=-1, instances=[[1.0, 2.0]]), "^bags in a dataset file must share one dimension$"),
+        (Bag(id="b", label=-1, instances=[[1.0, 2.0]]), "^bag 'b' dimension 2 does not match first bag dimension 1$"),
         (Bag(id="a", label=-1, instances=[[2.0]]), "^bag ids must be unique within a dataset file$"),
     ], ids=["mixed-dimensions", "duplicate-ids"])
     def test_save_rejects_what_load_would_refuse(self, tmp_path, second, message):
@@ -606,7 +606,7 @@ class TestSynthConfig:
         ({"dimension": 4}, "synthetic config keys must be among "
                            f"{sorted(f.name for f in fields(SynthConfig))}; unexpected ['dimension']"),
         ({"d": 0}, "d must be an integer >= 1, got 0"),
-        ({"d": 2, "shift_translation": [1.0]}, "shift_translation must have length d=2, got 1"),
+        ({"d": 2, "shift_translation": [1.0]}, "shift_translation length 1 does not match d 2"),
     ], ids=["unexpected key", "field", "vector field"])
     def test_config_file_errors_name_the_file(self, tmp_path, raw, message):
         path = self.config_file(tmp_path, raw)

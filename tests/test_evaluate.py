@@ -282,6 +282,28 @@ class TestRunProtocol:
             assert any(w.startswith(f"fold {fold}: target-only baseline: source training: ")
                        for w in report.warnings)
 
+    @pytest.mark.parametrize("call", ["run_protocol", "run_protocol source_model", "sweep"])
+    def test_a_target_of_another_dimension_fails_before_any_training(self, monkeypatch, call):
+        import dtmil.evaluate
+
+        trained = []
+        monkeypatch.setattr(dtmil.evaluate, "train_source", lambda *args: trained.append(args))
+        fits = counted_fits(monkeypatch)
+        source, target = labeled_bags(6, d=3), labeled_bags(6, d=2)
+        model = SourceModel(phi=Dictionary(codewords=[[1.0, 0.0, 0.0]]), v=[1.0])
+        run = {
+            "run_protocol": lambda: run_protocol(source, target, FAST, k=3),
+            "run_protocol source_model": lambda: run_protocol([], target, FAST, k=3, source_model=model),
+            "sweep": lambda: sweep(source, target, FAST, [1.0], [1.0], k=3),
+        }[call]
+        with pytest.raises(InvalidInputError, match="^target dimension 2 does not match source dimension 3$"):
+            run()
+        assert trained == [] and fits == []
+
+    def test_an_empty_source_fails_in_training_as_before(self):
+        with pytest.raises(InvalidInputError, match="^source training set is empty$"):
+            run_protocol([], labeled_bags(6), FAST, k=3)
+
     def test_report_warnings_are_the_folds_fit_warnings(self):
         source, target = small_problem(seed=3)
         reports = {}

@@ -102,9 +102,9 @@ class TestDualProblemValidation:
             DualProblem(features=features, margins=[1.0], labels=[1], c1=1.0)
 
     @pytest.mark.parametrize("margins, labels, message", [
-        ([1.0], [1, -1], r"^margins \(1,\) and labels \(2,\) must both have length 2$"),
-        ([1.0, 1.0, 1.0], [1, -1], r"^margins \(3,\) and labels \(2,\) must both have length 2$"),
-        ([1.0, 1.0], [1], r"^margins \(2,\) and labels \(1,\) must both have length 2$"),
+        ([1.0], [1, -1], "^margins length 1 does not match feature rows 2$"),
+        ([1.0, 1.0, 1.0], [1, -1], "^margins length 3 does not match feature rows 2$"),
+        ([1.0, 1.0], [1], "^labels length 1 does not match feature rows 2$"),
     ], ids=["short-margins", "long-margins", "short-labels"])
     def test_lengths_must_match_the_feature_rows(self, margins, labels, message):
         with pytest.raises(InvalidInputError, match=message):
