@@ -7,13 +7,14 @@ source-domain model scores a bag linearly in that feature space; an adapted
 model adds a correction term computed against a second, transfer dictionary.
 
 A ``BagBatch`` stacks a list of bags once so that embedding, scoring and
-argmax assignment run over all of them in one pass; it is the only way from
-a bag list to scores.  Every dot product here and in ``learn`` is a row-wise
-sum, the same bits in any batch and on any BLAS kernel, except the argmax's
-gemm, which it reads only where a rounding-error bound proves the row-wise
-pick; it recomputes every other pick row-wise.  A descent step hands it the
-previous step's picks, which it re-certifies against the same bound: only
-the cells where another instance comes near are recomputed.
+argmax assignment run over all of them; it is the only way from a bag list
+to scores.  Every dot product here and in ``learn`` is a row-wise sum, the
+same bits in any batch and on any BLAS kernel, except the argmax's gemm,
+read only where a rounding-error bound proves the row-wise pick; every other
+pick is recomputed row-wise.  Embedding is that argmax over blocks of
+codewords plus each pick's row-wise dot, so one pass gives features and
+picks.  A descent step hands the argmax the previous step's picks,
+re-certified against the same bound.
 Everything in this module is immutable after construction (a batch's
 instance norms are cached on first use, deterministically); all functions
 may be called concurrently without coordination.
@@ -34,6 +35,8 @@ VALID_LABELS = (1, -1)
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).smallest_subnormal
 _REAL_TYPES = (int, float, np.integer, np.floating)
+# dots a block of the embedding's argmax holds (256 kB), one codeword's at least
+_EMBED_CELLS = 1 << 15
 
 
 def _frozen(values, name: str, ndim: int) -> np.ndarray:
@@ -124,12 +127,12 @@ def _instance_dots(instances: np.ndarray, codeword: np.ndarray) -> np.ndarray:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # 2-norm of each row, each row divided by its largest magnitude first, so
-    # that squares of tiny entries do not underflow and those of huge entries
-    # do not overflow; a non-finite row gives NaN
+    # 2-norm of each row, divided by its largest magnitude first so that squares
+    # of tiny entries do not underflow nor huge ones overflow, squared in place
+    # (one (M, d) copy at a time); a non-finite row gives NaN
     top = np.abs(rows).max(axis=1)
     unit = rows / np.where(top > 0, top, 1.0)[:, None]
-    return top * np.sqrt((unit * unit).sum(axis=1))
+    return top * np.sqrt(np.square(unit, out=unit).sum(axis=1))
 
 
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -293,17 +296,25 @@ class BagBatch:
         """Features of every bag, one row per bag; a bag's row does not
         depend on which other bags share the batch."""
         _check_match(self.dim, dictionary.dim, "bag dimension", "dictionary dimension")
-        # one codeword's M dots at a time, reduced to bag maxima at once: no
-        # (K, M) array exists; C order, so scoring sums each bag's row one way
-        features = np.empty((len(self), dictionary.size))
-        for k, word in enumerate(dictionary.codewords):
-            features[:, k] = np.maximum.reduceat(_instance_dots(self.instances, word), self.starts)
-        return features
+        return self._embed(dictionary.codewords)[0]
+
+    def _embed(self, codewords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # (features, ``argmax``'s table): a feature is the row-wise dot of its
+        # certified argmax instance, np.maximum.reduceat's value (NaN for a NaN
+        # dot); no (K, M) array exists; C order, so scoring sums a row one way
+        features = np.empty((len(self), codewords.shape[0]))
+        picks = np.empty((codewords.shape[0], len(self)), dtype=np.intp)
+        block = max(1, _EMBED_CELLS // self.instances.shape[0])
+        for lo in range(0, codewords.shape[0], block):
+            picks[lo : lo + block] = self._argmax(codewords[lo : lo + block], nan_picks=True)
+            rows = self.instances[self.starts + picks[lo : lo + block]]
+            features[:, lo : lo + block] = _instance_dots(rows, codewords[lo : lo + block, None]).T
+        return features, picks
 
     @cached_property
     def _bag_norms(self) -> np.ndarray:
         # each bag's largest instance 2-norm, for the argmax certificate;
-        # lazy, so that building a batch to score it costs nothing more
+        # lazy, so that building a batch costs nothing more
         norms = np.maximum.reduceat(_row_norms(self.instances), self.starts)
         norms.setflags(write=False)
         return norms
@@ -323,10 +334,11 @@ class BagBatch:
         _check_match(codewords.shape[1], self.dim, "codeword dimension", "bag dimension")
         return self._argmax(codewords)
 
-    def _argmax(self, codewords: np.ndarray, previous: np.ndarray | None = None) -> np.ndarray:
+    def _argmax(self, codewords: np.ndarray, previous: np.ndarray | None = None, nan_picks=False) -> np.ndarray:
         # argmax of checked codewords; of a (K, n) table ``previous`` of
         # in-range indices it keeps the picks the certificate below still
-        # proves, and re-certifies the other cells: the same picks for any table
+        # proves, and re-certifies the other cells: the same picks for any table.
+        # A NaN dot raises, or with ``nan_picks`` picks the bag's first one
         # Whatever order a gemm sums in, fused or not, its dot and the
         # row-wise dot each lie within gamma_d * sum_j |x_j w_j| <=
         # (d eps / 2) ||w|| ||x|| of the exact value, plus d times the smallest
@@ -372,7 +384,7 @@ class BagBatch:
             k, i = divmod(int(cell), picks.shape[1])
             start = self.starts[i]
             exact = _instance_dots(self.instances[start : start + self.counts[i]], codewords[k])
-            hits = np.flatnonzero(exact == exact.max())
+            hits = np.flatnonzero((exact == exact.max()) | (nan_picks & np.isnan(exact)))
             if hits.size == 0:
                 raise InvalidInputError(f"codeword {k} has a NaN dot product with an instance of bag {i}")
             picks[k, i] = hits[0]

@@ -193,6 +193,8 @@ def _fold_results(run_fold, jobs: int):
 
 
 def _source_model(source: list[Bag], target: list[Bag], hyper: Hyperparams, model=None) -> SourceModel:
+    for bag in source:  # named as the source set here, not inside train_source
+        _check_match(bag.dim, source[0].dim, f"source set bag {bag.id!r} dimension", "first bag dimension")
     if model is not None or source:  # before any training; an empty source fails in train_source
         _check_match(target[0].dim, (model.phi if model else source[0]).dim, "target dimension", "source dimension")
     return model or train_source(source, hyper.kappa, hyper.c1, derive_seed(hyper.seed, _SEED_SOURCE))

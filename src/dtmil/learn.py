@@ -9,10 +9,10 @@ The adaptation fit alternates two blocks until the dual value settles:
      ``update_codeword`` call: each codeword follows its own objective, and
      each descent step first refreshes every codeword's per-bag argmax
      instance indices and then steps all codewords along their gradients.
-     From the second step on, the picks carried from the previous step are
-     re-certified, and only the cells where another instance comes near are
-     recomputed.  Every sum of the descent, u's over the bags included, is
-     row-wise, so no BLAS kernel reaches the codewords' bits.
+     The first step takes the round's embedding picks; later ones re-certify
+     the picks carried from the previous step, recomputing only the cells
+     where another instance comes near.  Every sum of the descent, u's over
+     the bags included, is row-wise, so no BLAS kernel reaches its bits.
 
 The adaptation weights are recovered in closed form from the final beta and
 the bag features under the final dictionary.  Source-model training reuses
@@ -119,6 +119,8 @@ def update_codeword(
     beta,
     labels,
     hyper: Hyperparams,
+    *,
+    picks=None,
 ) -> Dictionary:
     """Run ``hyper.inner_iters`` descent steps on every codeword of ``psi`` over ``batch``.
 
@@ -134,7 +136,8 @@ def update_codeword(
     norm above ``CODEWORD_NORM_CAP``, an overflowing one included, is scaled
     to it by ``init_dictionary``'s rule.  A zero codeword comes back
     unchanged; a step that leaves a codeword non-finite raises
-    ``InvalidInputError`` naming the step and codeword.
+    ``InvalidInputError`` naming the step and codeword.  ``picks``, the table
+    ``BagBatch.argmax(psi.codewords)`` returns, replaces the first step's argmax.
     """
     _check_match(psi.dim, batch.dim, "dictionary dimension", "bag dimension")
     beta = _frozen(beta, "beta", 1)
@@ -146,10 +149,10 @@ def update_codeword(
     weighted = np.multiply(batch.instances.T, np.repeat(beta * labels, batch.counts), order="C")
     words = psi.codewords
     warm = psi.size * len(batch) >= _WARM_ARGMAX_CELLS
-    picks, u = None, np.empty_like(words)
+    u = np.empty_like(words)
     for step in range(hyper.inner_iters):
-        previous = picks if warm else None
-        picks = batch._argmax(words, previous)
+        previous = picks if warm and step else None
+        picks = batch._argmax(words, previous) if step or picks is None else picks
         # np.take gathers in C order, so each entry of u is one row-wise sum
         # over the bags; a codeword whose picks did not change keeps its u
         fresh = slice(None) if previous is None else (picks != previous).any(axis=1)
@@ -222,6 +225,7 @@ def fit_dtc(
     start = time.perf_counter()
     labels = _check_labeled(target_train, "target training set")
     batch = BagBatch(target_train)
+    _check_match(batch.dim, source.phi.dim, "target training set dimension", "source dictionary dimension")
     report = FitReport()
     if len(set(labels.tolist())) < 2:
         report.warnings.append(
@@ -237,7 +241,7 @@ def fit_dtc(
 
     # the pass after the last round builds the final problem, then stops
     for outer in range(hyper.max_outer + 1):
-        z = batch.embed(psi)
+        z, picks = batch._embed(psi.codewords)
         prob = DualProblem(features=z, margins=margins, labels=labels, c1=hyper.c1)
         if report.converged or outer == hyper.max_outer:
             break
@@ -253,7 +257,7 @@ def fit_dtc(
         # release this round's n x n Gram, so that the next one never meets it
         del prob
         try:
-            psi = update_codeword(psi, batch, beta, labels, hyper)
+            psi = update_codeword(psi, batch, beta, labels, hyper, picks=picks)
         except InvalidInputError as err:
             raise InvalidInputError(f"{err} in outer round {outer + 1}") from err
 

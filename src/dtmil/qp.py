@@ -217,9 +217,10 @@ def solve_box_qp(
     visit that provably changes nothing does not.  Below ``_SCREEN_MIN_N``
     duals the row update of ``s = K (beta * y)`` runs on Python floats too
     and every sweep visits every coordinate.  From ``_SCREEN_MIN_N`` up the
-    row update runs in numpy, and sweeps skip the bound coordinates that
+    row update runs in numpy, sweeps skip the bound coordinates that
     ``_Screen`` certifies after sweeps 1, 2, 4, ..., and screen anew
-    mid-sweep once a certificate may have run out.
+    mid-sweep once a certificate may have run out, and a visit to a bound
+    coordinate whose gradient points out of the box stops before the step.
 
     ``init`` warm-starts the iterate (validated against the box, then
     projected exactly onto it); the default start is the zero vector.
@@ -247,8 +248,8 @@ def solve_box_qp(
 def _sweep_floats(prob: DualProblem, b: list[float], s: np.ndarray, y: list[float], max_sweeps: int):
     # a move adds fl(K_ij c) to each s_j: numpy's row update, element by
     # element, without a numpy call's overhead on a row of a few floats.  The
-    # coordinate update repeats _sweep_screened's: one loop choosing its row
-    # update per move ran the quick protocol's n = 10 solves 4-8% slower.
+    # coordinate update repeats _sweep_screened's, bar its bound test: one loop
+    # choosing its row update per move ran quick-protocol solves 4-8% slower.
     ub, c1, margins, diag = prob.box_upper, prob.c1, prob.margins.tolist(), np.diagonal(prob.gram).tolist()
     s, rows = s.tolist(), prob.gram.tolist()
     for sweeps in range(1, max_sweeps + 1):
@@ -273,45 +274,51 @@ def _sweep_floats(prob: DualProblem, b: list[float], s: np.ndarray, y: list[floa
 
 
 def _sweep_screened(prob: DualProblem, b: list[float], s: np.ndarray, y: list[float], max_sweeps: int):
-    ub, c1, margins, diag = prob.box_upper, prob.c1, prob.margins.tolist(), np.diagonal(prob.gram).tolist()
-    # s read through a memoryview gives Python floats; step holds each row update
-    sv, rows, step = memoryview(s), list(prob.gram), np.empty(prob.n)
-    screen = _Screen(prob, max_sweeps)
-    znorm, sweep_tau = screen.norms, screen.sweep_tau
+    ub, c1, screen = prob.box_upper, prob.c1, _Screen(prob, max_sweeps)
+    # a record per coordinate, (i, m_i, y_i, K_ii, row i of K, ||z_i||); s read
+    # through a memoryview gives Python floats; step holds each row update
+    diagonal = np.diagonal(prob.gram).tolist()
+    records = list(zip(range(prob.n), prob.margins.tolist(), y, diagonal, prob.gram, screen.norms))
+    sv, step, sweep_tau = memoryview(s), np.empty(prob.n), screen.sweep_tau
     # the drift since the last screen, its certified limit, and the last
     # whole sweep's drift, which sets how long a skip must be certified for
-    visit, drift, limit, rate = list(range(prob.n)), 0.0, np.inf, np.inf
+    visit, drift, limit, rate = records, 0.0, np.inf, np.inf
     for sweeps in range(1, max_sweeps + 1):
         max_delta = 0.0
         start = drift = drift + sweep_tau
         order = visit
         while order:
             rest = []
-            for i in order:
-                grad_i = margins[i] - y[i] * sv[i] / c1
-                if diag[i] > 0.0:
-                    target = b[i] + c1 * grad_i / diag[i]
+            for i, margin, label, diag, row, znorm in order:
+                grad_i = margin - label * sv[i] / c1
+                old = b[i]
+                if old == 0.0 and grad_i <= 0.0 or old == ub and grad_i > 0.0:
+                    continue  # the step or jump below would end on this same bound
+                if diag > 0.0:
+                    target = old + c1 * grad_i / diag
                     new = ub if target > ub else (0.0 if target < 0.0 else target)
                 else:
                     new = ub if grad_i > 0.0 else 0.0
-                delta = new - b[i]
+                delta = new - old
                 if delta != 0.0:
                     b[i] = new
-                    np.multiply(rows[i], y[i] * delta, out=step)
-                    s += step
+                    np.multiply(row, label * delta, step)
+                    np.add(s, step, s)
                     if abs(delta) > max_delta:
                         max_delta = abs(delta)
-                    drift += znorm[i] * abs(delta)
+                    drift += znorm * abs(delta)
                     if drift > limit:  # finish the sweep over a new list
-                        visit, limit = screen(b, s, _SKIP_SWEEPS * rate)
+                        kept, limit = screen(b, s, _SKIP_SWEEPS * rate)
+                        visit = [records[j] for j in kept]
                         start, drift = start - drift, sweep_tau
-                        rest = visit[bisect_right(visit, i) :]
+                        rest = visit[bisect_right(kept, i) :]
                         break
             order = rest
         if max_delta < DEFAULT_SWEEP_TOL:
             return b, sweeps, True
         rate = drift - start
         if sweeps & (sweeps - 1) == 0:
-            visit, limit = screen(b, s, _SKIP_SWEEPS * rate)
+            kept, limit = screen(b, s, _SKIP_SWEEPS * rate)
+            visit = [records[j] for j in kept]
             drift = 0.0
     return b, max_sweeps, False

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dtmil.core as core
 from dtmil import (
     AdaptedModel,
     Bag,
@@ -21,6 +22,7 @@ from dtmil import (
     codeword_objective,
     dual_value,
     embed_bag,
+    fit_dtc,
     generate_synthetic,
     init_dictionary,
     kkt_residual,
@@ -331,6 +333,12 @@ def _match_sites():
          "target dimension 3 does not match source dimension 2"),
         ("sweep", lambda tmp: sweep(three, two, hyper, [1.0], [1.0], k=2),
          "target dimension 2 does not match source dimension 3"),
+        ("fit_dtc", lambda tmp: fit_dtc(three, source, hyper),
+         "target training set dimension 3 does not match source dictionary dimension 2"),
+        ("run_protocol source set", lambda tmp: run_protocol([two[0], three[1]], two, hyper, k=2),
+         "source set bag '1' dimension 3 does not match first bag dimension 2"),
+        ("sweep source set", lambda tmp: sweep([two[0], three[1]], two, hyper, [1.0], [1.0], k=2),
+         "source set bag '1' dimension 3 does not match first bag dimension 2"),
     ]
 
 
@@ -447,6 +455,82 @@ class TestBagBatch:
     def test_embed_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             BagBatch([bag([1.0, 2.0])]).embed(Dictionary(codewords=[[1.0, 0.0, 0.0]]))
+
+
+def _embed_case(rng, kind):
+    # (batch, codewords) of one kind: Gaussian; small nonzero integers, whose
+    # dots tie often, at the top too; one instance a bag; instances near the
+    # largest float whose dots overflow to +-inf, each instance's entries of
+    # one sign; and the same with mixed signs, whose dots can be inf - inf
+    d, n = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+    counts = np.ones(n, dtype=int) if kind == "single" else rng.integers(1, 9, size=n)
+    words = rng.normal(size=(int(rng.integers(1, 30)), d))
+    rows = []
+    for count in counts:
+        x = rng.normal(size=(count, d))
+        if kind == "ties":
+            x = rng.choice([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], size=(count, d))
+        elif kind == "overflow":
+            x = np.abs(x) * rng.choice([1e306, -1e306], size=(count, 1))
+        elif kind == "nan":
+            x = x * 1e306
+        rows.append(x)
+    if kind == "ties":
+        words = rng.choice([-2.0, -1.0, 1.0, 2.0], size=words.shape)
+    elif kind in ("overflow", "nan"):
+        words = np.abs(words) * 100.0
+    return BagBatch([Bag(id=f"b{i}", instances=x) for i, x in enumerate(rows)]), words
+
+
+class TestEmbedThroughArgmax:
+    """``BagBatch.embed`` takes each feature as the row-wise dot of the
+    certified argmax instance, over blocks of codewords: the bits of the
+    row-wise maximum of every dot, on any BLAS, and one pass gives the
+    argmax's picks too."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ties", "single", "overflow", "nan"])
+    def test_matches_the_row_wise_maximum_bit_for_bit(self, kind, monkeypatch):
+        rng = np.random.default_rng(["gaussian", "ties", "single", "overflow", "nan"].index(kind))
+        seen_nan = seen_inf = 0
+        for case in range(40):
+            batch, words = _embed_case(rng, kind)
+            # blocks of 1, 3 and 7 codewords (K need not be a multiple), or all at once
+            per_block = [1, 3, 7, words.shape[0]][case % 4]
+            monkeypatch.setattr(core, "_EMBED_CELLS", per_block * batch.instances.shape[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                features = batch.embed(Dictionary(codewords=words))
+                reference = np.stack(
+                    [np.maximum.reduceat(core._instance_dots(batch.instances, w), batch.starts) for w in words], axis=1
+                )
+            assert features.flags.c_contiguous and features.shape == reference.shape
+            # NaN where the reference is NaN, and every other entry bit for bit;
+            # the sign bit np.maximum gives a NaN depends on where it sits and
+            # on the segment's length, and no output file holds a NaN
+            nan = np.isnan(reference)
+            assert np.array_equal(np.isnan(features), nan), (kind, case)
+            assert features[~nan].tobytes() == reference[~nan].tobytes(), (kind, case)
+            seen_nan += np.isnan(features).sum()
+            seen_inf += np.isinf(features).sum()
+        assert (seen_nan > 0) == (kind == "nan") and (seen_inf > 0) == (kind in ("overflow", "nan"))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ties", "single", "overflow"])
+    def test_picks_are_the_argmaxs(self, kind, monkeypatch):
+        rng = np.random.default_rng(10)
+        for case in range(20):
+            batch, words = _embed_case(rng, kind)
+            monkeypatch.setattr(core, "_EMBED_CELLS", (1 + case % 5) * batch.instances.shape[0])
+            with np.errstate(over="ignore", invalid="ignore"):
+                picks = batch._embed(words)[1]
+                assert np.array_equal(picks, batch.argmax(words)), (kind, case)
+
+    def test_a_nan_dot_embeds_as_nan_and_still_fails_the_argmax(self):
+        batch = BagBatch([Bag(id="b", instances=[[1.0, 1.0], [1e308, -1e308], [2.0, 0.0]])])
+        words = Dictionary(codewords=[[10.0, 10.0], [1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            features = batch.embed(words)
+            assert np.isnan(features[0, 0]) and features[0, 1] == 1e308
+            with pytest.raises(InvalidInputError, match="codeword 0 has a NaN dot product"):
+                batch.argmax(words.codewords)
 
 
 class TestScoring:

@@ -330,6 +330,33 @@ class TestUpdateCodeword:
             only_first = update_codeword(Dictionary(codewords=words.codewords[:1]), batch, [1.0], [1], hyper)
         assert only_first.codewords.tolist() == [[0.0, -CODEWORD_NORM_CAP]]
 
+    @pytest.mark.parametrize("kappa", [2, 20])
+    def test_a_handed_table_gives_the_same_bits_and_saves_the_first_argmax(self, kappa, monkeypatch):
+        # the table fit_dtc hands over from the round's embedding; 2 codewords
+        # over 40 bags take no warm argmax, 20 do from the second step
+        _, target = generate_synthetic(SynthConfig(), 5)
+        batch = BagBatch(target[:40])
+        assert (kappa * len(batch) >= _WARM_ARGMAX_CELLS) == (kappa == 20)
+        beta = np.linspace(0.0, 1.0 / len(batch), len(batch))
+        labels = [b.label for b in target[:40]]
+        psi = init_dictionary(batch, kappa, 5)
+        table = batch.argmax(psi.codewords)
+        hyper = Hyperparams(c1=0.05, inner_iters=5)
+        calls, real = [], BagBatch._argmax
+
+        def counted(self, codewords, previous):
+            calls.append(previous is None)
+            return real(self, codewords, previous)
+
+        monkeypatch.setattr(BagBatch, "_argmax", counted)
+        plain = update_codeword(psi, batch, beta, labels, hyper).codewords
+        cold, calls[:] = list(calls), []
+        handed = update_codeword(psi, batch, beta, labels, hyper, picks=table).codewords
+        assert handed.tobytes() == plain.tobytes()
+        # one argmax a step, the first of them cold; the handed table skips it
+        assert len(cold) == 5 and cold[0] and len(calls) == 4
+        assert cold[1:] == calls == [kappa < 20] * 4
+
     def test_descent_bytes_do_not_depend_on_the_blas_kernel(self, under_two_blas_kernels):
         # 20 codewords over 100 bags take the warm argmax from the second
         # step, and c1 = 0.05 puts ||u||^2 above c1 * c2, so that steps hit
@@ -736,11 +763,11 @@ class TestFitDTC:
 
         real, rounds = dtmil.learn.update_codeword, []
 
-        def fails_in_round_3(psi, batch, beta, labels, hyper):
+        def fails_in_round_3(psi, batch, beta, labels, hyper, *, picks):
             rounds.append(len(rounds) + 1)
             if len(rounds) == 3:
                 raise InvalidInputError("descent step 2: codeword 1 is not finite (step size eta=0.5)")
-            return real(psi, batch, beta, labels, hyper)
+            return real(psi, batch, beta, labels, hyper, picks=picks)
 
         monkeypatch.setattr(dtmil.learn, "update_codeword", fails_in_round_3)
         train = [bag([1, 2], label=1, bag_id="a"), bag([2, 1], label=-1, bag_id="b")]
@@ -758,9 +785,9 @@ class TestFitDTC:
 
         real, calls = dtmil.learn.update_codeword, []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(1)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(dtmil.learn, "update_codeword", counted)
         _, target = generate_synthetic(SynthConfig(bags_per_class_target=5), 3)

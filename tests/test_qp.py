@@ -429,6 +429,22 @@ class TestScreenedSweepsAreExact:
         # stay a finite float
         _assert_matches_reference(fit_shaped(np.random.default_rng(2), 40, scale=3.0), max_sweeps=10**400)
 
+    def test_bound_visits_at_a_zero_or_tiny_gradient(self):
+        # a visit that ends early on its bound must be one the step or jump
+        # would leave there: zero feature rows have a zero diagonal and a
+        # gradient equal to their margin, so one at the upper bound with a
+        # zero gradient jumps to 0, and one at 0 with a subnormal gradient to
+        # 1/n; the fit-shaped rows around them move and screen as usual
+        prob = fit_shaped(np.random.default_rng(5), 40, scale=3.0)
+        features, margins = prob.features.copy(), prob.margins.copy()
+        features[[3, 17, 30]] = 0.0
+        margins[[3, 17, 30]] = [0.0, 5e-324, -0.0]
+        moved = DualProblem(features=features, margins=margins, labels=prob.labels, c1=prob.c1)
+        init = np.full(40, moved.box_upper / 2)
+        init[[3, 17, 30]] = [moved.box_upper, 0.0, moved.box_upper]
+        state = _assert_matches_reference(moved, init=init)
+        assert state.beta[[3, 17, 30]].tolist() == [0.0, moved.box_upper, 0.0]
+
     def test_small_problems_never_screen(self, monkeypatch):
         n = qp._SCREEN_MIN_N - 1
         screens, _ = _watch_screens(monkeypatch)
