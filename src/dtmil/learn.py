@@ -137,13 +137,28 @@ def update_codeword(
     to it by ``init_dictionary``'s rule.  A zero codeword comes back
     unchanged; a step that leaves a codeword non-finite raises
     ``InvalidInputError`` naming the step and codeword.  ``picks``, the table
-    ``BagBatch.argmax(psi.codewords)`` returns, replaces the first step's argmax.
+    ``BagBatch.argmax(psi.codewords)`` returns, replaces the first step's
+    argmax; it must be an integer (K, n) table whose entry (k, i) indexes an
+    instance of bag i, else ``InvalidInputError`` names the codeword and bag.
     """
     _check_match(psi.dim, batch.dim, "dictionary dimension", "bag dimension")
     beta = _frozen(beta, "beta", 1)
     labels = _check_labels(labels)
     _check_match(beta.shape[0], len(batch), "beta length", "bag count")
     _check_match(labels.shape[0], len(batch), "labels length", "bag count")
+    if picks is not None:
+        picks = np.asarray(picks)
+        if picks.dtype.kind not in "iu" or picks.ndim != 2:
+            raise InvalidInputError(f"picks must be a table of integers, got {picks.ndim}-d {picks.dtype}")
+        _check_match(picks.shape[0], psi.size, "picks rows", "codeword count")
+        _check_match(picks.shape[1], len(batch), "picks columns", "bag count")
+        # each entry must index an instance of its own bag, not the next bag's
+        outside = (picks < 0) | (picks >= batch.counts)
+        if outside.any():
+            k, i = np.argwhere(outside)[0]
+            raise InvalidInputError(
+                f"codeword {k} picks instance {picks[k, i]} of bag {i}, which has {batch.counts[i]} instances"
+            )
     # each instance times its bag's beta_i y_i, once, one coordinate per row,
     # in C order at once (a transposed copy cost page faults at every step)
     weighted = np.multiply(batch.instances.T, np.repeat(beta * labels, batch.counts), order="C")

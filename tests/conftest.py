@@ -34,6 +34,20 @@ def traced_peak():
 
 
 @pytest.fixture
+def capped_solves(monkeypatch):
+    """``cap()``: from then on, every dual solve that ``dtmil.learn`` makes
+    stops after one sweep, so each reports its sweep cap."""
+
+    def cap():
+        monkeypatch.setattr(
+            dtmil.learn, "solve_box_qp",
+            lambda prob, init=None: dtmil.solve_box_qp(prob, init=init, max_sweeps=1),
+        )
+
+    return cap
+
+
+@pytest.fixture
 def under_two_blas_kernels():
     """``run(code)``: the whitespace-separated words that ``code`` prints in
     a fresh interpreter that imports this dtmil, under the default BLAS

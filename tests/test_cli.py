@@ -375,14 +375,8 @@ class TestPipeline:
         assert run(["train-source", "--data", data, "--out", model]) == 0
         assert os.path.exists(model)
 
-    def test_train_source_warns_on_capped_solve(self, workdir, capsys, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+    def test_train_source_warns_on_capped_solve(self, workdir, capsys, capped_solves):
+        capped_solves()
         tmp_path, config = workdir
         src, _ = synth(tmp_path, config)
         model = str(tmp_path / "m.json")
@@ -410,14 +404,8 @@ class TestPipeline:
         assert [line for line in err.splitlines() if "warning" in line] == ["eval: warning: scores overflowed"]
         assert ".py:" not in err
 
-    def test_adapt_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+    def test_adapt_reports_unconverged_solves_without_verbose(self, workdir, capsys, capped_solves):
+        capped_solves()
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         model = str(tmp_path / "m.json")
@@ -570,14 +558,8 @@ class TestProtocolCommand:
         assert captured.out == ""
         assert Path(quiet).read_bytes() == Path(loud).read_bytes()
 
-    def test_reports_unconverged_solves_without_verbose(self, workdir, capsys, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+    def test_reports_unconverged_solves_without_verbose(self, workdir, capsys, capped_solves):
+        capped_solves()
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         args = ["protocol", "--source", src, "--target", tgt, "--folds", "3",
@@ -597,14 +579,8 @@ class TestProtocolCommand:
         assert "evaluate.py:" not in capsys.readouterr().err
         assert Path(quiet).read_bytes() == Path(loud).read_bytes()
 
-    def test_names_each_folds_capped_baseline(self, workdir, capsys, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+    def test_names_each_folds_capped_baseline(self, workdir, capsys, capped_solves):
+        capped_solves()
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         capsys.readouterr()
@@ -634,14 +610,8 @@ class TestSweepCommand:
         assert lines[0] == "c1,c2,fold,accuracy"
         assert len(lines) == 1 + 2 * 2 * 3
 
-    def test_reports_unconverged_solves(self, workdir, capsys, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+    def test_reports_unconverged_solves(self, workdir, capsys, capped_solves):
+        capped_solves()
         tmp_path, config = workdir
         src, tgt = synth(tmp_path, config)
         capsys.readouterr()

@@ -316,6 +316,12 @@ def _match_sites():
          "beta length 1 does not match bag count 2"),
         ("update_codeword labels", lambda tmp: update_codeword(phi, batch, [0.1, 0.1], [1, -1, 1], hyper),
          "labels length 3 does not match bag count 2"),
+        ("update_codeword picks rows", lambda tmp: update_codeword(
+            phi, batch, [0.1, 0.1], [1, -1], hyper, picks=[[0, 0], [0, 0]]),
+         "picks rows 2 does not match codeword count 1"),
+        ("update_codeword picks columns", lambda tmp: update_codeword(
+            phi, batch, [0.1, 0.1], [1, -1], hyper, picks=[[0]]),
+         "picks columns 1 does not match bag count 2"),
         ("DualProblem margins", lambda tmp: DualProblem(features=[[1.0]], margins=[1.0, 1.0], labels=[1], c1=1.0),
          "margins length 2 does not match feature rows 1"),
         ("DualProblem labels", lambda tmp: DualProblem(features=[[1.0]], margins=[1.0], labels=[1, -1], c1=1.0),

@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from dtmil import (
@@ -303,38 +303,51 @@ _GOOD_LABELS = st.sampled_from([1, -1, 1.0, -1.0, np.float64(-1.0)])
 _FINITE_VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70))
 
 
+def _round_trip_drawn_bags(data):
+    # save then load a drawn dataset of every bag that Bag accepts
+    d = data.draw(st.integers(1, 3))
+    rows = st.lists(st.lists(_VALUES, min_size=d, max_size=d), min_size=1, max_size=3)
+    candidates = data.draw(st.lists(st.tuples(_IDS, _LABELS, rows), min_size=1, max_size=6))
+    # one candidate that is always accepted, at a drawn place, so that
+    # every example saves a nonempty dataset
+    finite = st.lists(st.lists(_FINITE_VALUES, min_size=d, max_size=d), min_size=1, max_size=3)
+    good = data.draw(st.tuples(_GOOD_IDS, _GOOD_LABELS, finite))
+    candidates.insert(data.draw(st.integers(0, len(candidates))), good)
+    bags = {}
+    for bag_id, label, instances in candidates:
+        try:
+            bag = Bag(id=bag_id, label=label, instances=instances)
+        except InvalidInputError:
+            continue
+        # a file needs labels and unique ids, which save_dataset checks
+        if bag.label is not None:
+            bags.setdefault(bag.id, bag)
+    bags = list(bags.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bags.jsonl")
+        save_dataset(bags, path)
+        loaded = load_dataset(path)
+    assert [(b.id, b.label, type(b.label)) for b in loaded] == [(b.id, b.label, int) for b in bags]
+    for orig, back in zip(bags, loaded):
+        assert back.instances.shape == orig.instances.shape
+        assert back.instances.tobytes() == orig.instances.tobytes()
+
+
 class TestSavedDatasetLoads:
     """Bag owns the id and label rules, so a dataset that saves also loads."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_every_accepted_bag_round_trips(self, data):
-        d = data.draw(st.integers(1, 3))
-        rows = st.lists(st.lists(_VALUES, min_size=d, max_size=d), min_size=1, max_size=3)
-        candidates = data.draw(st.lists(st.tuples(_IDS, _LABELS, rows), min_size=1, max_size=6))
-        # one candidate that is always accepted, at a drawn place, so that
-        # every example saves a nonempty dataset
-        finite = st.lists(st.lists(_FINITE_VALUES, min_size=d, max_size=d), min_size=1, max_size=3)
-        good = data.draw(st.tuples(_GOOD_IDS, _GOOD_LABELS, finite))
-        candidates.insert(data.draw(st.integers(0, len(candidates))), good)
-        bags = {}
-        for bag_id, label, instances in candidates:
-            try:
-                bag = Bag(id=bag_id, label=label, instances=instances)
-            except InvalidInputError:
-                continue
-            # a file needs labels and unique ids, which save_dataset checks
-            if bag.label is not None:
-                bags.setdefault(bag.id, bag)
-        bags = list(bags.values())
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "bags.jsonl")
-            save_dataset(bags, path)
-            loaded = load_dataset(path)
-        assert [(b.id, b.label, type(b.label)) for b in loaded] == [(b.id, b.label, int) for b in bags]
-        for orig, back in zip(bags, loaded):
-            assert back.instances.shape == orig.instances.shape
-            assert back.instances.tobytes() == orig.instances.tobytes()
+        _round_trip_drawn_bags(data)
+
+    # with assume() filtering empty datasets, this seed failed the
+    # filter_too_much health check; pinned so that every run draws it
+    @seed(117)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_every_accepted_bag_round_trips_at_seed_117(self, data):
+        _round_trip_drawn_bags(data)
 
     @pytest.mark.parametrize("field, value", [
         ("id", 3), ("id", ""), ("id", None), ("label", True), ("label", np.int64(1)), ("label", "1"),

@@ -187,16 +187,6 @@ def counted_fits(monkeypatch):
     return fits
 
 
-def capped_solves(monkeypatch):
-    import dtmil.learn
-    from dtmil import solve_box_qp
-
-    monkeypatch.setattr(
-        dtmil.learn, "solve_box_qp",
-        lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-    )
-
-
 class TestRunProtocol:
     def test_non_finite_descent_names_round_and_fold(self, monkeypatch):
         # the fold in the message is the one whose fit raised: the last of
@@ -258,10 +248,10 @@ class TestRunProtocol:
         run_protocol(source, target, FAST, k=4, on_fit=lambda fold, rep: seen.append(fold))
         assert sorted(seen) == [0, 1, 2, 3]
 
-    def test_capped_baseline_is_reported_per_fold(self, monkeypatch):
+    def test_capped_baseline_is_reported_per_fold(self, capped_solves):
         source, target = small_problem(seed=7)
         model = train_source(source, FAST.kappa, FAST.c1, seed=99)
-        capped_solves(monkeypatch)
+        capped_solves()
         reports = {}
         run_protocol(source, target, FAST, k=4, source_model=model,
                      on_fit=lambda fold, rep: reports.setdefault(fold, rep))
@@ -271,10 +261,10 @@ class TestRunProtocol:
             assert len(baseline) == 1
             assert "dual solve stopped at its sweep cap after 1 sweeps" in baseline[0]
 
-    def test_warnings_reach_the_report_without_on_fit(self, monkeypatch):
+    def test_warnings_reach_the_report_without_on_fit(self, capped_solves):
         source, target = small_problem(seed=7)
         model = train_source(source, FAST.kappa, FAST.c1, seed=99)
-        capped_solves(monkeypatch)
+        capped_solves()
         report = run_protocol(source, target, FAST, k=4, source_model=model)
         capped = "outer round 1: dual solve stopped at its sweep cap after 1 sweeps without converging"
         for fold in range(4):
@@ -360,10 +350,10 @@ class TestFoldWorkers:
         assert pooled == local
         assert [fold for fold, _ in local[1]] == [0, 1, 2, 3]
 
-    def test_warnings_cross_the_process_boundary(self, monkeypatch):
+    def test_warnings_cross_the_process_boundary(self, monkeypatch, capped_solves):
         source, target = small_problem(seed=7)
         model = train_source(source, FAST.kappa, FAST.c1, seed=99)
-        capped_solves(monkeypatch)
+        capped_solves()
         pooled, local = self.run_both(monkeypatch, source, target, FAST, k=4, source_model=model)
         assert pooled == local
         assert all(any(w.startswith("target-only baseline: ") for w in record[-1])
@@ -594,7 +584,7 @@ class TestSweep:
 
     @forks
     @pytest.mark.parametrize("workers", [2, 1])
-    def test_each_cell_matches_direct_protocol(self, monkeypatch, workers):
+    def test_each_cell_matches_direct_protocol(self, monkeypatch, capped_solves, workers):
         import dtmil.evaluate
 
         real, entered = dtmil.evaluate._fold_results, []
@@ -605,7 +595,7 @@ class TestSweep:
 
         monkeypatch.setattr(dtmil.evaluate, "_fold_results", counted)
         fold_workers(monkeypatch, workers)
-        capped_solves(monkeypatch)  # so that every row carries warnings
+        capped_solves()  # so that every row carries warnings
         source, target = small_problem(seed=8)
         hyper = replace(FAST, seed=5)
         c1_grid, c2_grid = [0.5, 1.0], [0.1, 1.0]
@@ -645,9 +635,9 @@ class TestSweep:
             sweep(source, target, hyper, [0.5, 1.0], [0.1], k=3)
         assert str(caught.value) == "no fit in fold 1"
 
-    def test_rows_carry_capped_solves_without_a_callback(self, monkeypatch):
+    def test_rows_carry_capped_solves_without_a_callback(self, capped_solves):
         source, target = small_problem(seed=7)
-        capped_solves(monkeypatch)
+        capped_solves()
         # the shared source model's capped solve is the one warning raised
         with pytest.warns(RuntimeWarning, match="sweep cap"):
             rows = sweep(source, target, replace(FAST, seed=0), [0.5, 1.0], [0.1], k=3)

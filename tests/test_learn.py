@@ -357,6 +357,23 @@ class TestUpdateCodeword:
         assert len(cold) == 5 and cold[0] and len(calls) == 4
         assert cold[1:] == calls == [kappa < 20] * 4
 
+    @pytest.mark.parametrize("table, message", [
+        ([[0, 2, 0]], "codeword 0 picks instance 2 of bag 1, which has 2 instances"),
+        ([[0, 0, 1]], "codeword 0 picks instance 1 of bag 2, which has 1 instances"),
+        ([[0, -1, 0]], "codeword 0 picks instance -1 of bag 1, which has 2 instances"),
+        ([[0.0, 1.0, 0.0]], "picks must be a table of integers, got 2-d float64"),
+        ([[True, False, False]], "picks must be a table of integers, got 2-d bool"),
+        ([0, 1, 0], "picks must be a table of integers, got 1-d int64"),
+    ], ids=["past-the-bag", "past-the-last-bag", "negative", "float", "bool", "flat"])
+    def test_a_handed_table_is_checked(self, table, message):
+        # without the check, an index past its bag read another bag's instance
+        batch = BagBatch([bag([1.0, 0.0], bag_id="a"), bag([0.0, 1.0], [2.0, 1.0], bag_id="b"),
+                          bag([1.0, 1.0], bag_id="c")])
+        psi = Dictionary(codewords=[[1.0, 0.0]])
+        with pytest.raises(InvalidInputError) as caught:
+            update_codeword(psi, batch, [0.1, 0.2, 0.3], [1, -1, 1], Hyperparams(kappa=1), picks=table)
+        assert str(caught.value) == message
+
     def test_descent_bytes_do_not_depend_on_the_blas_kernel(self, under_two_blas_kernels):
         # 20 codewords over 100 bags take the warm argmax from the second
         # step, and c1 = 0.05 puts ||u||^2 above c1 * c2, so that steps hit
@@ -804,14 +821,8 @@ class TestFitDTC:
         assert report.warnings
         assert model.psi.size == 2
 
-    def test_unconverged_solves_are_reported(self, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        def capped(prob, init=None):
-            return solve_box_qp(prob, init=init, max_sweeps=1)
-
-        monkeypatch.setattr(dtmil.learn, "solve_box_qp", capped)
+    def test_unconverged_solves_are_reported(self, capped_solves):
+        capped_solves()
         rng = np.random.default_rng(15)
         train = [
             Bag(id=f"b{i}", label=int(1 if i % 2 else -1), instances=rng.normal(size=(3, 2)))
@@ -1052,27 +1063,15 @@ class TestTrainSource:
         )
         assert agree / len(source_bags) >= 0.95
 
-    def test_capped_solve_warns(self, monkeypatch):
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+    def test_capped_solve_warns(self, capped_solves):
+        capped_solves()
         source_bags, _ = generate_synthetic(SynthConfig(), seed=0)
         with pytest.warns(RuntimeWarning, match="sweep cap after 1 sweeps"):
             train_source(source_bags, iota=10, c=1.0, seed=0)
 
-    def test_capped_warnings_name_seed_and_bag_count(self, monkeypatch):
+    def test_capped_warnings_name_seed_and_bag_count(self, capped_solves):
         # distinct texts, so the default filter does not fold repeated calls into one line
-        import dtmil.learn
-        from dtmil import solve_box_qp
-
-        monkeypatch.setattr(
-            dtmil.learn, "solve_box_qp",
-            lambda prob, init=None: solve_box_qp(prob, init=init, max_sweeps=1),
-        )
+        capped_solves()
         source_bags, _ = generate_synthetic(SynthConfig(), seed=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default")
